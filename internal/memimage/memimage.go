@@ -5,24 +5,61 @@
 // durable NVM image, the transaction cache, the software log and the
 // nonvolatile LLC is what makes crash/recovery testing functional rather
 // than purely statistical.
+//
+// An Image stores words in 4 KiB pages (512 words each) keyed by page
+// number. The workloads bump-allocate from fixed per-core address
+// carvings (memaddr.PerCore*), so the words a run writes are dense and a
+// page table holds them with little slack. Each page carries a written
+// mask, one bit per word, that records which words were ever stored —
+// zero-valued stores included — so Len and ForEach report exactly the
+// written set while unwritten words still read zero. ForEach visits that
+// set in ascending address order, which makes every walk over an image
+// deterministic.
+//
+// An Image is not safe for concurrent use, not even by readers alone:
+// ReadWord updates a one-entry last-page cache in front of the page table.
 package memimage
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"pmemaccel/internal/memaddr"
 )
+
+const (
+	pageShift    = 12 // 4 KiB pages
+	wordsPerPage = (1 << pageShift) / memaddr.WordSize
+	maskWords    = wordsPerPage / 64
+	lineMask     = uint64(1)<<memaddr.WordsPerLine - 1
+)
+
+// page holds one page's words and its written mask (bit i of
+// written[i/64] set iff word i was ever stored). Unwritten words are zero.
+type page struct {
+	words   [wordsPerPage]uint64
+	written [maskWords]uint64
+}
+
+// zeroPage stands in for an absent page when two images are compared.
+// It is never written.
+var zeroPage page
 
 // Image is a sparse, word-granular memory content image. Unwritten words
 // read as zero, matching hardware that zeroes (or never exposes) fresh
 // pages. The zero value is NOT usable; call New.
 type Image struct {
-	words map[uint64]uint64
+	pages map[uint64]*page // keyed by addr >> pageShift
+	n     int              // words ever written: popcount of all masks
+	// One-entry cache of the last page looked up; last is nil until a
+	// lookup finds a page.
+	lastKey uint64
+	last    *page
 }
 
 // New returns an empty image.
 func New() *Image {
-	return &Image{words: make(map[uint64]uint64)}
+	return &Image{pages: make(map[uint64]*page)}
 }
 
 // NewSized returns an empty image pre-sized for about n words, avoiding
@@ -30,36 +67,91 @@ func New() *Image {
 // live/durable images from generated base images, building the expected
 // recovery image).
 func NewSized(n int) *Image {
-	return &Image{words: make(map[uint64]uint64, n)}
+	return &Image{pages: make(map[uint64]*page, n/wordsPerPage+1)}
+}
+
+// lookup returns the page holding addr, or nil when none was written.
+func (m *Image) lookup(addr uint64) *page {
+	k := addr >> pageShift
+	if m.last != nil && k == m.lastKey {
+		return m.last
+	}
+	p := m.pages[k]
+	if p != nil {
+		m.lastKey, m.last = k, p
+	}
+	return p
+}
+
+// pageFor returns the page holding addr, allocating it if needed.
+func (m *Image) pageFor(addr uint64) *page {
+	if p := m.lookup(addr); p != nil {
+		return p
+	}
+	p := new(page)
+	k := addr >> pageShift
+	m.pages[k] = p
+	m.lastKey, m.last = k, p
+	return p
+}
+
+// wordIndex returns the index of addr's word within its page.
+func wordIndex(addr uint64) uint {
+	return uint(addr/memaddr.WordSize) % wordsPerPage
 }
 
 // ReadWord returns the 64-bit word at addr. addr is word-aligned by the
 // caller's contract; misaligned addresses are aligned down.
 func (m *Image) ReadWord(addr uint64) uint64 {
-	return m.words[memaddr.WordAddr(addr)]
+	p := m.lookup(addr)
+	if p == nil {
+		return 0
+	}
+	return p.words[wordIndex(addr)]
 }
 
 // WriteWord stores a 64-bit word at addr (aligned down).
 func (m *Image) WriteWord(addr, value uint64) {
-	m.words[memaddr.WordAddr(addr)] = value
+	p := m.pageFor(addr)
+	i := wordIndex(addr)
+	if bit := uint64(1) << (i % 64); p.written[i/64]&bit == 0 {
+		p.written[i/64] |= bit
+		m.n++
+	}
+	p.words[i] = value
+}
+
+// Written reports whether the word at addr was ever stored, including
+// stores of zero.
+func (m *Image) Written(addr uint64) bool {
+	p := m.lookup(addr)
+	if p == nil {
+		return false
+	}
+	i := wordIndex(addr)
+	return p.written[i/64]&(uint64(1)<<(i%64)) != 0
 }
 
 // ReadLine returns the 8 words of the cache line containing addr.
 func (m *Image) ReadLine(addr uint64) [memaddr.WordsPerLine]uint64 {
-	base := memaddr.LineAddr(addr)
 	var line [memaddr.WordsPerLine]uint64
-	for i := range line {
-		line[i] = m.words[base+uint64(i)*memaddr.WordSize]
+	if p := m.lookup(addr); p != nil {
+		i := wordIndex(memaddr.LineAddr(addr))
+		copy(line[:], p.words[i:])
 	}
 	return line
 }
 
-// WriteLine stores 8 words at the cache line containing addr.
+// WriteLine stores 8 words at the cache line containing addr. A line
+// never straddles a page, and its 8 mask bits share one mask word.
 func (m *Image) WriteLine(addr uint64, line [memaddr.WordsPerLine]uint64) {
-	base := memaddr.LineAddr(addr)
-	for i, w := range line {
-		m.words[base+uint64(i)*memaddr.WordSize] = w
-	}
+	p := m.pageFor(addr)
+	i := wordIndex(memaddr.LineAddr(addr))
+	copy(p.words[i:], line[:])
+	w := &p.written[i/64]
+	bitsLine := lineMask << (i % 64)
+	m.n += bits.OnesCount64(bitsLine &^ *w)
+	*w |= bitsLine
 }
 
 // CopyLine copies the cache line containing addr from src into m. It is
@@ -70,14 +162,18 @@ func (m *Image) CopyLine(src *Image, addr uint64) {
 }
 
 // Len reports the number of distinct words ever written.
-func (m *Image) Len() int { return len(m.words) }
+func (m *Image) Len() int { return m.n }
 
 // Snapshot returns an independent deep copy, used to capture the durable
-// state at a crash point.
+// state at a crash point. The copied pages share one allocation.
 func (m *Image) Snapshot() *Image {
-	c := &Image{words: make(map[uint64]uint64, len(m.words))}
-	for a, v := range m.words {
-		c.words[a] = v
+	c := &Image{pages: make(map[uint64]*page, len(m.pages)), n: m.n}
+	slab := make([]page, len(m.pages))
+	i := 0
+	for k, p := range m.pages {
+		slab[i] = *p
+		c.pages[k] = &slab[i]
+		i++
 	}
 	return c
 }
@@ -98,55 +194,79 @@ type Diff struct {
 // once limit differences are found (limit <= 0 means unlimited).
 func (m *Image) DiffLimit(o *Image, limit int) int {
 	n := 0
-	for a, v := range m.words {
-		if o.words[a] != v {
-			n++
-			if limit > 0 && n >= limit {
-				return n
-			}
+	m.eachDiff(o, func(uint64, uint64, uint64) bool {
+		n++
+		return limit <= 0 || n < limit
+	})
+	return n
+}
+
+// Diffs returns up to max word-level differences (max <= 0 means all),
+// lowest addresses first, for diagnostics in failing tests.
+func (m *Image) Diffs(o *Image, max int) []Diff {
+	var out []Diff
+	m.eachDiff(o, func(addr, a, b uint64) bool {
+		out = append(out, Diff{Addr: addr, A: a, B: b})
+		return max <= 0 || len(out) < max
+	})
+	return out
+}
+
+// eachDiff calls fn for every word whose value differs between m and o,
+// in ascending address order, until fn returns false. Unwritten words
+// are zero in a page's word array, so comparing values alone treats a
+// written zero as equal to an absent word.
+func (m *Image) eachDiff(o *Image, fn func(addr, a, b uint64) bool) {
+	for _, k := range sortedPages(m, o) {
+		pm, po := m.pages[k], o.pages[k]
+		if pm == nil {
+			pm = &zeroPage
 		}
-	}
-	for a, v := range o.words {
-		if v != 0 {
-			if _, ok := m.words[a]; !ok {
-				n++
-				if limit > 0 && n >= limit {
-					return n
+		if po == nil {
+			po = &zeroPage
+		}
+		if pm.words == po.words {
+			continue
+		}
+		base := k << pageShift
+		for i, a := range &pm.words {
+			if b := po.words[i]; a != b {
+				if !fn(base+uint64(i)*memaddr.WordSize, a, b) {
+					return
 				}
 			}
 		}
 	}
-	return n
 }
 
-// Diffs returns up to max word-level differences, sorted by address, for
-// diagnostics in failing tests.
-func (m *Image) Diffs(o *Image, max int) []Diff {
-	var out []Diff
-	seen := make(map[uint64]bool)
-	for a, v := range m.words {
-		if o.words[a] != v {
-			out = append(out, Diff{Addr: a, A: v, B: o.words[a]})
-			seen[a] = true
-		}
-	}
-	for a, v := range o.words {
-		if v != 0 && !seen[a] {
-			if _, ok := m.words[a]; !ok {
-				out = append(out, Diff{Addr: a, A: 0, B: v})
+// ForEach visits every written word in ascending address order.
+func (m *Image) ForEach(fn func(addr, value uint64)) {
+	for _, k := range sortedPages(m) {
+		p := m.pages[k]
+		base := k << pageShift
+		for j, w := range p.written {
+			for w != 0 {
+				i := j*64 + bits.TrailingZeros64(w)
+				w &= w - 1
+				fn(base+uint64(i)*memaddr.WordSize, p.words[i])
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
 }
 
-// ForEach visits every written word in unspecified order.
-func (m *Image) ForEach(fn func(addr, value uint64)) {
-	for a, v := range m.words {
-		fn(a, v)
+// sortedPages returns the page numbers present in any of imgs, ascending
+// and without duplicates.
+func sortedPages(imgs ...*Image) []uint64 {
+	n := 0
+	for _, m := range imgs {
+		n += len(m.pages)
 	}
+	keys := make([]uint64, 0, n)
+	for _, m := range imgs {
+		for k := range m.pages {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

@@ -2,6 +2,7 @@ package pmemaccel
 
 import (
 	"fmt"
+	"sort"
 
 	"pmemaccel/internal/cache"
 	"pmemaccel/internal/cpu"
@@ -415,27 +416,26 @@ func (s *System) ExpectedDurable() *memimage.Image {
 
 // CheckDurable compares a recovered image against an expected one over
 // the NVM data space, returning up to max mismatches (both directions:
-// lost committed writes and leaked uncommitted ones).
+// lost committed writes and leaked uncommitted ones), lowest addresses
+// first.
 func CheckDurable(expected, recovered *memimage.Image, max int) []memimage.Diff {
 	var diffs []memimage.Diff
-	seen := map[uint64]bool{}
 	expected.ForEach(func(addr, v uint64) {
 		if memaddr.Classify(addr) != memaddr.SpaceNVM {
 			return
 		}
 		if got := recovered.ReadWord(addr); got != v {
 			diffs = append(diffs, memimage.Diff{Addr: addr, A: v, B: got})
-			seen[addr] = true
 		}
 	})
+	// Words expected holds were compared above; any other nonzero
+	// recovered word is a leak.
 	recovered.ForEach(func(addr, v uint64) {
-		if memaddr.Classify(addr) != memaddr.SpaceNVM || v == 0 || seen[addr] {
-			return
-		}
-		if expected.ReadWord(addr) != v {
-			diffs = append(diffs, memimage.Diff{Addr: addr, A: expected.ReadWord(addr), B: v})
+		if memaddr.Classify(addr) == memaddr.SpaceNVM && v != 0 && !expected.Written(addr) {
+			diffs = append(diffs, memimage.Diff{Addr: addr, B: v})
 		}
 	})
+	sort.Slice(diffs, func(i, j int) bool { return diffs[i].Addr < diffs[j].Addr })
 	if max > 0 && len(diffs) > max {
 		diffs = diffs[:max]
 	}

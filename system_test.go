@@ -2,10 +2,13 @@ package pmemaccel
 
 import (
 	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"pmemaccel/internal/memaddr"
+	"pmemaccel/internal/memimage"
 	"pmemaccel/internal/workload"
 )
 
@@ -198,6 +201,50 @@ func TestExpectedDurableMatchesFinalImages(t *testing.T) {
 		if bad != 0 {
 			t.Fatalf("expected image diverges from FinalImage on %d words", bad)
 		}
+	}
+}
+
+// CheckDurable truncates to the lowest-address mismatches, whatever
+// order the images were written in: lost and leaked words interleave
+// across many pages, and words outside the NVM data space, equal words
+// and a written zero against an absent word never count.
+func TestCheckDurableLowestAddressesFirst(t *testing.T) {
+	expected, recovered := memimage.New(), memimage.New()
+	var want []memimage.Diff
+	// Written in descending address order so insertion order cannot
+	// masquerade as sorting.
+	for i := 39; i >= 0; i-- {
+		addr := memaddr.PerCoreNVM(i%4).Base + uint64(i)*3*4096 + uint64(i%5)*8
+		v := uint64(i + 1)
+		switch i % 3 {
+		case 0: // lost committed write
+			expected.WriteWord(addr, v)
+			want = append(want, memimage.Diff{Addr: addr, A: v})
+		case 1: // leaked uncommitted write
+			recovered.WriteWord(addr, v)
+			want = append(want, memimage.Diff{Addr: addr, B: v})
+		case 2: // wrong value
+			expected.WriteWord(addr, v)
+			recovered.WriteWord(addr, v+100)
+			want = append(want, memimage.Diff{Addr: addr, A: v, B: v + 100})
+		}
+		expected.WriteWord(addr+8, v) // agreeing neighbour
+		recovered.WriteWord(addr+8, v)
+	}
+	expected.WriteWord(memaddr.SharedNVMBase, 0) // written zero vs absent
+	recovered.WriteWord(memaddr.PerCoreLog(0).Base, 7)
+	recovered.WriteWord(memaddr.PerCoreDRAM(1).Base, 7)
+	sort.Slice(want, func(i, j int) bool { return want[i].Addr < want[j].Addr })
+
+	const max = 8
+	for call := 0; call < 10; call++ {
+		got := CheckDurable(expected, recovered, max)
+		if !reflect.DeepEqual(got, want[:max]) {
+			t.Fatalf("call %d: CheckDurable = %+v, want %+v", call, got, want[:max])
+		}
+	}
+	if got := CheckDurable(expected, recovered, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CheckDurable(max 0) = %+v, want all %d diffs", got, len(want))
 	}
 }
 
