@@ -54,11 +54,14 @@ bench-speed:
 # One-iteration benchmark smoke run: catches benchmarks that no longer
 # compile or crash, without measuring anything. The SimulatorSpeed
 # pattern covers the plain, observability-on, and 4-channel
-# (SimulatorSpeedMultiChannel) configurations; the Image pattern covers
-# the memory-image component benchmarks.
+# (SimulatorSpeedMultiChannel) configurations; the Image, KernelEvents
+# and ControllerTick patterns cover the memory-image, event-queue and
+# memory-controller component benchmarks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SimulatorSpeed -benchtime 1x .
 	$(GO) test -run '^$$' -bench Image -benchtime 1x ./internal/memimage/
+	$(GO) test -run '^$$' -bench KernelEvents -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench ControllerTick -benchtime 1x ./internal/memctrl/
 
 # Benchmark-trajectory harness: run the simulator-speed benchmarks
 # (3 iterations each — single-iteration numbers swing by ~10%, the

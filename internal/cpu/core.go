@@ -240,6 +240,11 @@ type Core struct {
 	// the core marks flight begin and commit checkpoints.
 	fr *txflight.Recorder
 
+	// wake returns the core to the kernel's tick sweep after it went
+	// dormant (sim.Sleeper). Every completion callback calls it before
+	// touching core state.
+	wake func()
+
 	stats Stats
 }
 
@@ -354,6 +359,7 @@ func (c *Core) abortTx() {
 	}
 	backoff := (uint64(8) << uint(attempts)) + uint64((c.id*7)%8)
 	c.k.Schedule(backoff, func() {
+		c.wake()
 		c.aborting = false
 	})
 }
@@ -473,7 +479,7 @@ func (c *Core) Tick(now uint64) {
 			// record.
 			addr, value := c.cur.Addr, c.cur.Value
 			tag, unc := act.TxTag, act.Uncommitted
-			done := func() { c.outStores--; c.finishCheck() }
+			done := func() { c.wake(); c.outStores--; c.finishCheck() }
 			if c.k.Deferring() {
 				c.k.Defer(func() { c.retireStore(addr, value, persistent, tag, unc, done) })
 			} else {
@@ -521,6 +527,7 @@ func (c *Core) Tick(now uint64) {
 			c.abortAttempts = 0
 			txStart := c.txStart
 			if c.pers.TxEnd(c.id, id, func() {
+				c.wake()
 				c.commitWait = false
 				c.stats.Transactions++
 				end := c.k.Now()
@@ -563,7 +570,7 @@ func (c *Core) Tick(now uint64) {
 				flush = c.hier.FlushInv
 			}
 			addr := c.cur.Addr
-			done := func() { c.outFlushes--; c.finishCheck() }
+			done := func() { c.wake(); c.outFlushes--; c.finishCheck() }
 			if c.k.Deferring() {
 				c.k.Defer(func() { flush(c.id, addr, done) })
 			} else {
@@ -638,9 +645,32 @@ func (c *Core) Idle() bool {
 	return false
 }
 
+// SetWake implements sim.Sleeper.
+func (c *Core) SetWake(wake func()) { c.wake = wake }
+
+// Dormant implements sim.Sleeper: Tick is a no-op apart from stall
+// accounting until one of the core's completion callbacks (load, store
+// or flush done, commit resume, abort-backoff end) fires. That holds
+// whenever Idle does, and also while TX_END at the head waits on the
+// transaction's own outstanding loads or stores — a commit-wait stall
+// Idle deliberately leaves busy, because fast-forward skipping it would
+// change the exported skipped-cycle count.
+func (c *Core) Dormant() bool {
+	return c.Idle() || c.txEndBlocked()
+}
+
+// txEndBlocked reports Tick's in-order commit stall: no fence pending
+// (clearing a satisfied fence is a state change), TX_END at the head,
+// and the transaction's loads or stores still outstanding.
+func (c *Core) txEndBlocked() bool {
+	return !c.fenceWait && c.hasCur && c.cur.Kind == trace.KindTxEnd &&
+		(c.outStores > 0 || c.outLoads > 0)
+}
+
 // SkipCycles implements sim.CycleSkipper: bulk-charge n skipped cycles
-// to exactly the stall bucket n idle Ticks would have accrued one cycle
-// at a time (the cases, and their precedence, mirror Idle and Tick).
+// to exactly the stall bucket n idle (or dormant) Ticks would have
+// accrued one cycle at a time (the cases, and their precedence, mirror
+// Dormant and Tick).
 func (c *Core) SkipCycles(n uint64) {
 	if c.Finished() {
 		return
@@ -665,6 +695,9 @@ func (c *Core) SkipCycles(n uint64) {
 	case c.hasCur && c.cur.Kind == trace.KindStore:
 		c.stats.StallStoreBuf += n
 		bd.StoreBufStall += n
+	case c.hasCur && c.cur.Kind == trace.KindTxEnd:
+		c.stats.StallCommit += n
+		bd.CommitWait += n
 	default:
 		bd.DrainWait += n
 	}
@@ -694,6 +727,7 @@ func (c *Core) issueLoad(addr uint64, now uint64) {
 	persistent := memaddr.IsPersistent(addr)
 	c.outLoads++
 	done := func() {
+		c.wake()
 		c.outLoads--
 		if persistent {
 			lat := c.k.Now() - now

@@ -146,6 +146,11 @@ type Controller struct {
 	inFlight int // issued commands whose completion has not fired
 	draining bool
 
+	// readsBlocked/writesBlocked memoize a fully blocked scheduling
+	// window: when every window entry's bank was busy, the queue's pick
+	// is -1 until the earliest of those banks frees. See pickIssuable.
+	readsBlocked, writesBlocked uint64
+
 	// probe is the observability recorder (nil when disabled); chanID
 	// labels this channel's track. drainStart/drainWrites frame the
 	// current write-drain window.
@@ -217,6 +222,9 @@ func (c *Controller) Read(lineAddr uint64, done func()) {
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		done: done, enqueue: c.k.Now(),
 	})
+	if len(c.reads) <= c.cfg.ReadWindow {
+		c.readsBlocked = 0
+	}
 }
 
 // Write enqueues a line write. apply (may be nil) runs at durability time,
@@ -226,9 +234,7 @@ func (c *Controller) Write(lineAddr uint64, apply, onDurable func()) {
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		apply: apply, done: onDurable, enqueue: c.k.Now(),
 	})
-	if len(c.writes) > c.stats.WriteQueuePeak {
-		c.stats.WriteQueuePeak = len(c.writes)
-	}
+	c.enqueuedWrite()
 }
 
 // WriteTracked enqueues a line write like Write, additionally marking
@@ -242,8 +248,17 @@ func (c *Controller) WriteTracked(lineAddr uint64, apply, onDurable func(), w *t
 		lineAddr: lineAddr, bank: c.bankOf(lineAddr), row: c.rowOf(lineAddr),
 		apply: apply, done: onDurable, trk: w, trkChan: channel, enqueue: c.k.Now(),
 	})
+	c.enqueuedWrite()
+}
+
+// enqueuedWrite updates the queue peak and, when the new write entered
+// the scheduling window, drops the window's blocked memo.
+func (c *Controller) enqueuedWrite() {
 	if len(c.writes) > c.stats.WriteQueuePeak {
 		c.stats.WriteQueuePeak = len(c.writes)
+	}
+	if len(c.writes) <= c.cfg.WriteWindow {
+		c.writesBlocked = 0
 	}
 }
 
@@ -258,15 +273,31 @@ func (c *Controller) rowOf(lineAddr uint64) uint64 {
 // pickIssuable returns the index of the request to issue from q (bounded
 // by window): the first row-hit whose bank is idle, else the oldest whose
 // bank is idle, else -1 (FR-FCFS within the scheduling window).
-func (c *Controller) pickIssuable(q []request, window int, now uint64) int {
+//
+// A scan that finds every window entry's bank busy records the earliest
+// of their busyUntil cycles in *blocked, and later calls answer -1 in
+// O(1) until that cycle. The memo stays exact until a request enters the
+// window, which clears it. Nothing issues from q while the memo holds,
+// and an issue from the other queue cannot unblock the window: it takes
+// a free bank, and every bank in the blocked window is busy. Bank state
+// changes only at issue, so the blocked banks stay busy until the memo
+// expires.
+func (c *Controller) pickIssuable(q []request, window int, blocked *uint64, now uint64) int {
+	if now < *blocked {
+		return -1
+	}
 	limit := len(q)
 	if limit > window {
 		limit = window
 	}
 	oldest := -1
+	earliest := ^uint64(0)
 	for i := 0; i < limit; i++ {
 		b := q[i].bank
-		if c.banks[b].busyUntil > now {
+		if bu := c.banks[b].busyUntil; bu > now {
+			if bu < earliest {
+				earliest = bu
+			}
 			continue
 		}
 		if c.banks[b].hasOpen && c.banks[b].openRow == q[i].row {
@@ -275,6 +306,9 @@ func (c *Controller) pickIssuable(q []request, window int, now uint64) int {
 		if oldest < 0 {
 			oldest = i
 		}
+	}
+	if oldest < 0 {
+		*blocked = earliest
 	}
 	return oldest
 }
@@ -344,7 +378,7 @@ func (c *Controller) Tick(now uint64) {
 	issued := false
 	for n := 0; n < c.cfg.CmdPerCycle; n++ {
 		if c.draining {
-			if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
+			if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, &c.writesBlocked, now); i >= 0 {
 				c.issue(&c.writes, i, true, now)
 				issued = true
 				continue
@@ -352,13 +386,13 @@ func (c *Controller) Tick(now uint64) {
 			// Banks busy for every window entry: fall through to
 			// try reads rather than idling the channel.
 		}
-		if i := c.pickIssuable(c.reads, c.cfg.ReadWindow, now); i >= 0 {
+		if i := c.pickIssuable(c.reads, c.cfg.ReadWindow, &c.readsBlocked, now); i >= 0 {
 			c.issue(&c.reads, i, false, now)
 			issued = true
 			continue
 		}
 		// Reads empty or blocked: opportunistically issue writes.
-		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, now); i >= 0 {
+		if i := c.pickIssuable(c.writes, c.cfg.WriteWindow, &c.writesBlocked, now); i >= 0 {
 			c.issue(&c.writes, i, true, now)
 			issued = true
 		}
@@ -395,10 +429,10 @@ func (c *Controller) Idle() bool {
 		return false // drain-start transition pending
 	}
 	now := c.k.Now()
-	if len(c.reads) > 0 && c.pickIssuable(c.reads, c.cfg.ReadWindow, now) >= 0 {
+	if len(c.reads) > 0 && c.pickIssuable(c.reads, c.cfg.ReadWindow, &c.readsBlocked, now) >= 0 {
 		return false
 	}
-	if len(c.writes) > 0 && c.pickIssuable(c.writes, c.cfg.WriteWindow, now) >= 0 {
+	if len(c.writes) > 0 && c.pickIssuable(c.writes, c.cfg.WriteWindow, &c.writesBlocked, now) >= 0 {
 		return false
 	}
 	return true

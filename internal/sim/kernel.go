@@ -1,21 +1,30 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// timed component in pmemaccel: a cycle clock, an event heap for latency
-// callbacks, and a registry of per-cycle tickable components.
+// timed component in pmemaccel: a cycle clock, an event queue for latency
+// callbacks (a timing wheel with a heap for far-future events), and a
+// registry of per-cycle tickable components.
 //
 // The kernel advances one cycle at a time. Within a cycle it first fires
 // every event scheduled for that cycle (in schedule order, so execution is
-// deterministic), then ticks every registered Tickable in registration
+// deterministic), then ticks the registered Tickables in registration
 // order. Components therefore see a consistent "events happen, then state
 // machines advance" discipline each cycle.
 //
-// When every registered component also implements Quiescer and reports
-// idle, the kernel fast-forwards the clock to the next scheduled event
-// instead of spinning no-op tick sweeps — the event-driven mode that makes
-// long memory-latency stalls cheap. The quiescence contract (when a
-// component may legally report idle) is documented on Quiescer and in
-// DESIGN.md §10; the contract guarantees results are byte-identical with
-// fast-forward on or off.
+// Two mechanisms keep the host from paying for simulated waiting, both
+// exact by construction and both governed by SetFastForward:
+//
+//   - When every registered component implements Quiescer and reports
+//     idle, RunUntil fast-forwards the clock to the next scheduled event
+//     instead of spinning no-op tick sweeps.
+//   - A component implementing Sleeper that reports Dormant after its
+//     Tick is left out of later sweeps until its own callbacks wake it;
+//     the skipped ticks are charged in bulk through CycleSkipper.
+//
+// The contracts (when a component may report idle or dormant, and when it
+// must wake) are documented on Quiescer and Sleeper and in DESIGN.md §10;
+// they guarantee results are byte-identical with fast-forward on or off.
 package sim
+
+import "math/bits"
 
 // Tickable is a component that advances its state machine once per cycle.
 type Tickable interface {
@@ -49,81 +58,23 @@ type CycleSkipper interface {
 	SkipCycles(n uint64)
 }
 
-// event is a callback scheduled for a future cycle. seq breaks ties so that
-// two events scheduled for the same cycle fire in schedule order.
-type event struct {
-	cycle uint64
-	seq   uint64
-	fn    func()
-}
-
-// before orders events by (cycle, seq) — the same total order the old
-// container/heap implementation used, so firing order (and therefore
-// every simulation result) is unchanged.
-func (e event) before(o event) bool {
-	if e.cycle != o.cycle {
-		return e.cycle < o.cycle
-	}
-	return e.seq < o.seq
-}
-
-// eventHeap is a typed 4-ary min-heap keyed by (cycle, seq). Unlike
-// container/heap it never boxes events through interface{}, so Schedule
-// does not allocate per event (only amortized slice growth), and the
-// shallower tree halves the sift-down depth on the pop-heavy kernel
-// workload. Because (cycle, seq) is a total order, pop order is
-// independent of heap shape.
-type eventHeap struct {
-	a []event
-}
-
-const heapArity = 4
-
-func (h *eventHeap) len() int { return len(h.a) }
-
-// head returns the minimum event without removing it. Caller guarantees
-// len() > 0.
-func (h *eventHeap) head() event { return h.a[0] }
-
-func (h *eventHeap) push(e event) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !h.a[i].before(h.a[p]) {
-			break
-		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	root := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a[n] = event{} // drop the fn reference so the closure can be collected
-	h.a = h.a[:n]
-	i := 0
-	for {
-		min := i
-		first := heapArity*i + 1
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
-			if h.a[c].before(h.a[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		h.a[i], h.a[min] = h.a[min], h.a[i]
-		i = min
-	}
-	return root
+// Sleeper is an optional interface for components that spend long
+// stretches waiting while the rest of the machine runs. After a Tick
+// that leaves the component Dormant, the kernel stops ticking it; the
+// component's state may then change only through its own entry points,
+// and each of them must call the wake function handed over by SetWake
+// before it mutates anything. Waking bulk-charges the skipped ticks
+// through CycleSkipper (if implemented) at the dormant state, then the
+// component ticks again from the next slot it has not yet passed.
+//
+// Dormant must return true only when every Tick until the next outside
+// change is a no-op apart from what SkipCycles charges — the Idle
+// contract, minus the requirement that the whole machine be quiet.
+// Dormant may hold where Idle does not: fast-forward still polls Idle,
+// so a dormant-but-busy component keeps the clock stepping.
+type Sleeper interface {
+	SetWake(wake func())
+	Dormant() bool
 }
 
 // tickEntry caches the optional-interface assertions done once at
@@ -133,6 +84,11 @@ type tickEntry struct {
 	t Tickable
 	q Quiescer     // nil: component never reports idle (always busy)
 	s CycleSkipper // nil: no bulk accounting on skip
+	d Sleeper      // nil: component never sleeps
+
+	// sleptAt is the cycle of a sleeping component's last Tick: its
+	// accounting is charged through that cycle.
+	sleptAt uint64
 }
 
 // Kernel is the simulation engine. The zero value is not usable; use
@@ -140,13 +96,28 @@ type tickEntry struct {
 type Kernel struct {
 	now       uint64
 	seq       uint64
-	events    eventHeap
+	events    eventQueue
 	tickables []tickEntry
+	// awake has bit i set while tickable i takes part in the sweep; the
+	// sweep walks set bits, so sleeping components cost nothing.
+	awake []uint64
 
-	// ff enables quiescence fast-forward; skipped counts the cycles the
-	// kernel jumped instead of stepping.
+	// ff enables quiescence fast-forward and sleeping; skipped counts the
+	// cycles the kernel jumped instead of stepping.
 	ff      bool
 	skipped uint64
+
+	// sleep is set while a serial RunUntil with fast-forward on is in
+	// progress: only then may dormant components sleep. pos is the
+	// registration index of the component ticking now (-1 while events
+	// fire, len(tickables) between cycles); a component woken mid-sweep
+	// whose slot already passed counts the current cycle as skipped.
+	sleep bool
+	pos   int
+
+	// ticks counts Tick calls actually executed (diagnostic; not part of
+	// any Result).
+	ticks uint64
 
 	// pastSchedules counts ScheduleAt calls whose target cycle was
 	// strictly in the past (coerced to now+1). A nonzero count flags a
@@ -172,13 +143,18 @@ func NewKernel() *Kernel {
 // Now reports the current cycle.
 func (k *Kernel) Now() uint64 { return k.now }
 
-// SetFastForward enables or disables quiescence fast-forward. Results
-// are byte-identical either way; disabling exists for equivalence tests
-// and perf comparison.
+// SetFastForward enables or disables quiescence fast-forward and
+// sleeping. Results are byte-identical either way; disabling exists for
+// equivalence tests and perf comparison, and leaves plain stepping —
+// every component ticked every cycle — as the reference path.
 func (k *Kernel) SetFastForward(on bool) { k.ff = on }
 
 // Skipped reports how many cycles fast-forward jumped over so far.
 func (k *Kernel) Skipped() uint64 { return k.skipped }
+
+// Ticks reports how many component Ticks the kernel has executed so far
+// (skipped and sleeping ticks excluded).
+func (k *Kernel) Ticks() uint64 { return k.ticks }
 
 // PastSchedules reports how many ScheduleAt calls targeted a cycle
 // strictly in the past and were coerced to the next cycle. Always zero
@@ -188,12 +164,52 @@ func (k *Kernel) PastSchedules() uint64 { return k.pastSchedules }
 
 // Register adds a component to the per-cycle tick list. Components tick in
 // registration order. Components implementing Quiescer (and optionally
-// CycleSkipper) participate in quiescence fast-forward.
+// CycleSkipper) participate in quiescence fast-forward; components
+// implementing Sleeper receive their wake function here.
 func (k *Kernel) Register(t Tickable) {
 	e := tickEntry{t: t}
 	e.q, _ = t.(Quiescer)
 	e.s, _ = t.(CycleSkipper)
+	e.d, _ = t.(Sleeper)
+	i := len(k.tickables)
 	k.tickables = append(k.tickables, e)
+	if i>>6 == len(k.awake) {
+		k.awake = append(k.awake, 0)
+	}
+	k.awake[i>>6] |= 1 << uint(i&63)
+	if e.d != nil {
+		e.d.SetWake(func() { k.wake(i) })
+	}
+}
+
+// wake returns tickable i to the sweep, first charging the ticks it
+// slept through: every cycle after sleptAt up to the previous one, plus
+// the current cycle when its slot in this cycle's sweep already passed.
+func (k *Kernel) wake(i int) {
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	if k.awake[w]&bit != 0 {
+		return
+	}
+	k.awake[w] |= bit
+	e := &k.tickables[i]
+	last := k.now - 1
+	if i < k.pos {
+		last = k.now
+	}
+	if last > e.sleptAt && e.s != nil {
+		e.s.SkipCycles(last - e.sleptAt)
+	}
+}
+
+// settle wakes every sleeping component, charging its skipped ticks, and
+// ends sleeping: between RunUntil calls every component's accounting is
+// current and every component ticks on a plain Step.
+func (k *Kernel) settle() {
+	k.sleep = false
+	k.pos = len(k.tickables)
+	for i := range k.tickables {
+		k.wake(i)
+	}
 }
 
 // Schedule arranges for fn to run delay cycles from now. A delay of 0 runs
@@ -216,24 +232,44 @@ func (k *Kernel) ScheduleAt(cycle uint64, fn func()) {
 		cycle = k.now + 1
 	}
 	k.seq++
-	k.events.push(event{cycle: cycle, seq: k.seq, fn: fn})
+	k.events.push(k.now, cycle, k.seq, fn)
 }
 
 // Pending reports the number of not-yet-fired events.
 func (k *Kernel) Pending() int { return k.events.len() }
 
 // Step advances the clock by exactly one cycle: fire due events, then
-// tick every registered component. Step never fast-forwards; the skip
-// logic lives in RunUntil so single-stepping callers keep cycle-exact
-// control.
+// tick every registered component that is not asleep. Step never
+// fast-forwards; the skip logic lives in RunUntil so single-stepping
+// callers keep cycle-exact control. Components only fall asleep inside
+// RunUntil, so between runs Step ticks every component.
 func (k *Kernel) Step() {
 	k.now++
-	for k.events.len() > 0 && k.events.head().cycle <= k.now {
-		k.events.pop().fn()
+	k.pos = -1
+	k.events.fire(k.now)
+	for w := range k.awake {
+		// The word is re-read after every Tick: a component woken
+		// mid-sweep at a later slot ticks this cycle.
+		var passed uint64
+		for {
+			m := k.awake[w] &^ passed
+			if m == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(m)
+			passed |= uint64(2)<<uint(b) - 1
+			i := w<<6 | b
+			e := &k.tickables[i]
+			k.pos = i
+			e.t.Tick(k.now)
+			k.ticks++
+			if k.sleep && e.d != nil && e.d.Dormant() {
+				k.awake[w] &^= 1 << uint(b)
+				e.sleptAt = k.now
+			}
+		}
 	}
-	for i := range k.tickables {
-		k.tickables[i].t.Tick(k.now)
-	}
+	k.pos = len(k.tickables)
 }
 
 // maybeSkip fast-forwards the clock to one cycle before the next event
@@ -246,13 +282,15 @@ func (k *Kernel) Step() {
 // fires in the skipped range, so the machine state at the skip target is
 // identical to stepping there — except per-cycle accounting, which
 // SkipCycles applies in bulk for exactly the skipped cycle count.
+// Sleeping components are polled too but not charged here: their wake
+// charges every cycle since they fell asleep, the jumped ones included.
 func (k *Kernel) maybeSkip(limit uint64) {
 	if !k.ff {
 		return
 	}
 	target := limit
-	if k.events.len() > 0 && k.events.head().cycle < target {
-		target = k.events.head().cycle
+	if c, ok := k.events.next(k.now); ok && c < target {
+		target = c
 	}
 	if target <= k.now+1 {
 		return
@@ -281,8 +319,8 @@ func (k *Kernel) maybeSkip(limit uint64) {
 	}
 	n := target - k.now - 1
 	for i := range k.tickables {
-		if k.tickables[i].s != nil {
-			k.tickables[i].s.SkipCycles(n)
+		if e := &k.tickables[i]; e.s != nil && k.awake[i>>6]&(1<<uint(i&63)) != 0 {
+			e.s.SkipCycles(n)
 		}
 	}
 	k.now += n
@@ -292,13 +330,17 @@ func (k *Kernel) maybeSkip(limit uint64) {
 // RunUntil steps the kernel until the predicate returns true or the cycle
 // limit is reached. It returns the cycle at which it stopped and whether
 // the predicate was satisfied. When the machine is quiescent it
-// fast-forwards between events instead of stepping every cycle; the
-// predicate is evaluated at the same component states either way (state
-// cannot change across provably idle cycles).
+// fast-forwards between events instead of stepping every cycle, and
+// dormant components sleep; the predicate is evaluated at the same
+// component states either way (state cannot change across provably idle
+// cycles or inside a sleeping component). On return every sleeping
+// component has been woken and its accounting is current.
 func (k *Kernel) RunUntil(done func() bool, limit uint64) (uint64, bool) {
 	if k.par != nil {
 		k.par.prepare(k)
 	}
+	k.sleep = k.ff && k.par == nil
+	defer k.settle()
 	for !done() {
 		if k.now >= limit {
 			return k.now, false

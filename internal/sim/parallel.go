@@ -18,7 +18,7 @@
 // After the wave barrier, the coordinator replays journals in
 // registration order of their owners. Replay therefore assigns event seq
 // numbers and mutates shared components in exactly the order the serial
-// sweep would have, so the event heap, every component state, and every
+// sweep would have, so the event queue, every component state, and every
 // result byte are identical to the serial kernel.
 //
 // Conservative lookahead comes from three levers, all reusing PR 3's
@@ -365,9 +365,7 @@ func (k *Kernel) stepPar() {
 		p.resegment(k)
 	}
 	k.now++
-	for k.events.len() > 0 && k.events.head().cycle <= k.now {
-		k.events.pop().fn()
-	}
+	k.events.fire(k.now)
 	anyBusy := false
 	for s := range p.segs {
 		sg := &p.segs[s]
@@ -381,6 +379,7 @@ func (k *Kernel) stepPar() {
 				} else {
 					anyBusy = true
 					e.t.Tick(k.now)
+					k.ticks++
 				}
 			}
 			continue
@@ -404,6 +403,7 @@ func (k *Kernel) stepPar() {
 			continue
 		}
 		anyBusy = true
+		k.ticks += uint64(len(busy))
 		if len(busy) < p.minDispatch {
 			p.waveInline++
 			// Inline: registration order on the coordinator is the

@@ -217,6 +217,11 @@ type TxCache struct {
 	fr     *txflight.Recorder
 	frPort TrackedPort
 
+	// wake returns the TC to the kernel's tick sweep after it went
+	// dormant (sim.Sleeper). Write, Commit, Ack and EvictTx — the only
+	// entry points that change what Tick would do — call it first.
+	wake func()
+
 	stats Stats
 }
 
@@ -325,6 +330,7 @@ func (tc *TxCache) recordInstant(k obs.Kind, txID, arg uint64) {
 // the caller whether to proceed normally, take the fall-back path, or
 // stall.
 func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
+	tc.wake()
 	if tc.count >= len(tc.entries) {
 		tc.stats.FullRejects++
 		tc.recordInstant(obs.KTCFull, txID, addr)
@@ -359,6 +365,7 @@ func (tc *TxCache) Write(txID, addr, value uint64) WriteResult {
 // Commit CAM-matches every active entry of txID into the committed state.
 // Being nonvolatile, the TC makes the transaction durable at this instant.
 func (tc *TxCache) Commit(txID uint64) {
+	tc.wake()
 	tc.stats.Commits++
 	var matched uint64
 	for i := range tc.entries {
@@ -440,6 +447,15 @@ func (tc *TxCache) Idle() bool {
 	}
 	return tc.entries[tc.issue].State == Active
 }
+
+// SetWake implements sim.Sleeper.
+func (tc *TxCache) SetWake(wake func()) { tc.wake = wake }
+
+// Dormant implements sim.Sleeper. An idle TC stays idle until a write,
+// commit, acknowledgment or eviction changes its ring, and each of those
+// wakes it first; Tick accrues no per-cycle accounting, so nothing is
+// charged for the slept ticks.
+func (tc *TxCache) Dormant() bool { return tc.Idle() }
 
 // Tick implements sim.Tickable: issue committed entries toward the NVM in
 // FIFO order, up to IssuePerCycle. A drain burst (the off-critical-path
@@ -540,6 +556,7 @@ func (tc *TxCache) issueTracked(addr uint64, apply func(), txID, issueAt uint64)
 // entry: CAM-match the issued entry with this address nearest the tail to
 // the available state, then advance the tail over available entries.
 func (tc *TxCache) Ack(addr uint64) {
+	tc.wake()
 	addr = memaddr.WordAddr(addr)
 	// Walk every slot oldest-first: holes may separate live entries.
 	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
@@ -570,6 +587,7 @@ func (tc *TxCache) Ack(addr uint64) {
 // so one transaction never has updates split across the two paths (which
 // could apply to NVM out of order).
 func (tc *TxCache) EvictTx(txID uint64) []Entry {
+	tc.wake()
 	var out []Entry
 	for n, i := 0, tc.tail; n < len(tc.entries); n, i = n+1, tc.next(i) {
 		e := &tc.entries[i]

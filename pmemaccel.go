@@ -110,11 +110,11 @@ type Config struct {
 	// MaxCycles bounds the run (0 = default bound).
 	MaxCycles uint64
 
-	// NoFastForward disables the kernel's quiescence fast-forward, so
-	// every cycle is stepped even when the whole machine is provably
-	// idle. Results are byte-identical either way (the skip-equivalence
-	// tests enforce it); the switch exists for those tests and for perf
-	// comparison.
+	// NoFastForward disables the kernel's quiescence fast-forward and
+	// component sleeping, so every cycle is stepped and every component
+	// ticked even when it is provably waiting. Results are byte-identical
+	// either way (the skip-equivalence tests enforce it); the switch
+	// exists for those tests and for perf comparison.
 	NoFastForward bool
 
 	// ParWorkers > 0 runs the simulation kernel in parallel mode with

@@ -17,9 +17,9 @@ import (
 // runPair runs one cell with fast-forward on and off and returns both
 // results with their Configs zeroed (the NoFastForward flag is the one
 // intended difference; everything downstream of it must agree).
-func runPair(t *testing.T, b workload.Benchmark, m Kind) (ff, noff *Result) {
+func runPair(t *testing.T, cfg Config) (ff, noff *Result) {
 	t.Helper()
-	cfg := smokeConfig(b, m)
+	b, m := cfg.Benchmark, cfg.Mechanism
 
 	cfg.NoFastForward = false
 	ff, err := Run(cfg)
@@ -44,26 +44,33 @@ func runPair(t *testing.T, b workload.Benchmark, m Kind) (ff, noff *Result) {
 	return ff, noff
 }
 
+// assertPairIdentical runs cfg with fast-forward on and off and requires
+// identical results.
+func assertPairIdentical(t *testing.T, cfg Config) {
+	t.Helper()
+	ff, noff := runPair(t, cfg)
+	if !reflect.DeepEqual(ff, noff) {
+		t.Errorf("results diverge with fast-forward on vs off:\n  on:  %v\n  off: %v", ff, noff)
+		// Narrow the divergence for the failure message.
+		if ff.Cycles != noff.Cycles {
+			t.Errorf("Cycles: %d vs %d", ff.Cycles, noff.Cycles)
+		}
+		for c := range ff.PerCore {
+			if !reflect.DeepEqual(ff.PerCore[c], noff.PerCore[c]) {
+				t.Errorf("core %d stats diverge:\n  on:  %+v\n  off: %+v",
+					c, ff.PerCore[c], noff.PerCore[c])
+			}
+		}
+	}
+}
+
 func TestFastForwardResultsIdenticalAllCells(t *testing.T) {
 	for _, b := range workload.All {
 		for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
 			b, m := b, m
 			t.Run(b.String()+"/"+m.String(), func(t *testing.T) {
 				t.Parallel()
-				ff, noff := runPair(t, b, m)
-				if !reflect.DeepEqual(ff, noff) {
-					t.Errorf("results diverge with fast-forward on vs off:\n  on:  %v\n  off: %v", ff, noff)
-					// Narrow the divergence for the failure message.
-					if ff.Cycles != noff.Cycles {
-						t.Errorf("Cycles: %d vs %d", ff.Cycles, noff.Cycles)
-					}
-					for c := range ff.PerCore {
-						if !reflect.DeepEqual(ff.PerCore[c], noff.PerCore[c]) {
-							t.Errorf("core %d stats diverge:\n  on:  %+v\n  off: %+v",
-								c, ff.PerCore[c], noff.PerCore[c])
-						}
-					}
-				}
+				assertPairIdentical(t, smokeConfig(b, m))
 			})
 		}
 	}
@@ -121,5 +128,63 @@ func TestNoFastForwardDisablesSkipping(t *testing.T) {
 	}
 	if n := s.Kernel.Skipped(); n != 0 {
 		t.Fatalf("NoFastForward run skipped %d cycles, want 0", n)
+	}
+}
+
+// contended16 is the 16-core bankshared cell at 50% contention: sixteen
+// cores waiting on aborts, commits and a shared NVM channel, the regime
+// where sleeping and the memoized scheduling window carry the most
+// weight.
+func contended16(m Kind) Config {
+	cfg := smokeConfig(workload.BankShared, m)
+	cfg.Cores = 16
+	cfg.ContentionPct = 0.5
+	return cfg
+}
+
+// TestFastForwardResultsIdenticalContended16 extends the fast-forward
+// on/off pins to the contended 16-core cell. NoFastForward also turns off
+// sleeping, so this pins the event wheel, sleeping cores and TCs and the
+// memoized NVM window against plain stepping.
+func TestFastForwardResultsIdenticalContended16(t *testing.T) {
+	for _, m := range []Kind{Optimal, SP, TCache, Kiln} {
+		m := m
+		t.Run(m.String(), func(t *testing.T) {
+			t.Parallel()
+			assertPairIdentical(t, contended16(m))
+		})
+	}
+}
+
+// TestSleepingActuallyElides guards against sleeping silently never
+// engaging: on the contended 16-core TCache cell almost every core and
+// TC tick is a wait, so the kernel must execute well under a quarter of
+// the ticks plain stepping would (registered components x stepped
+// cycles). The plain-stepping run supplies the registered count.
+func TestSleepingActuallyElides(t *testing.T) {
+	run := func(noFF bool) *System {
+		cfg := contended16(TCache)
+		cfg.NoFastForward = noFF
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	plain, slept := run(true), run(false)
+	k := plain.Kernel
+	if k.Ticks()%k.Now() != 0 {
+		t.Fatalf("plain stepping ran %d ticks over %d cycles; every component must tick every cycle", k.Ticks(), k.Now())
+	}
+	registered := k.Ticks() / k.Now()
+	stepped := slept.Kernel.Now() - slept.Kernel.Skipped()
+	frac := float64(slept.Kernel.Ticks()) / float64(registered*stepped)
+	t.Logf("%d ticks executed of %d components x %d stepped cycles (%.1f%%)",
+		slept.Kernel.Ticks(), registered, stepped, 100*frac)
+	if frac >= 0.25 {
+		t.Fatalf("executed %.1f%% of registered x stepped ticks, want < 25%%: sleeping is not eliding waits", 100*frac)
 	}
 }
