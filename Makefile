@@ -54,31 +54,38 @@ bench-speed:
 # One-iteration benchmark smoke run: catches benchmarks that no longer
 # compile or crash, without measuring anything. The SimulatorSpeed
 # pattern covers the plain, observability-on, and 4-channel
-# (SimulatorSpeedMultiChannel) configurations; the Image, KernelEvents
-# and ControllerTick patterns cover the memory-image, event-queue and
-# memory-controller component benchmarks.
+# (SimulatorSpeedMultiChannel) configurations; the Image, KernelEvents,
+# ControllerTick, HierarchyAccess, TCWriteDrain and Generator patterns
+# cover the memory-image, event-queue, memory-controller, cache
+# hierarchy, transaction-cache and trace-generator component benchmarks
+# (with -benchmem: the component paths are allocation-free).
 bench-smoke:
 	$(GO) test -run '^$$' -bench SimulatorSpeed -benchtime 1x .
 	$(GO) test -run '^$$' -bench Image -benchtime 1x ./internal/memimage/
 	$(GO) test -run '^$$' -bench KernelEvents -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench ControllerTick -benchtime 1x ./internal/memctrl/
+	$(GO) test -run '^$$' -bench HierarchyAccess -benchmem -benchtime 1x ./internal/cache/
+	$(GO) test -run '^$$' -bench TCWriteDrain -benchmem -benchtime 1x ./internal/txcache/
+	$(GO) test -run '^$$' -bench Generator -benchmem -benchtime 1x ./internal/workload/
 
 # Benchmark-trajectory harness: run the simulator-speed benchmarks
-# (3 iterations each — single-iteration numbers swing by ~10%, the
-# entire gate tolerance) and record ns/op, allocs/op and sim_cycles/s
-# per benchmark into BENCH_9.json via cmd/benchjson. The file is
-# committed, so speed regressions show up as diffs; -baseline
-# additionally fails the run when sim_cycles/s fell more than 10% below
-# the previous PR's record (BENCH_8.json).
+# (3 iterations each, 5 times — single-iteration numbers swing by ~10%,
+# the entire gate tolerance, and on a shared host one 3-iteration run
+# can swing by 25%) and record the median ns/op, allocs/op and
+# sim_cycles/s per benchmark into BENCH_14.json via cmd/benchjson. The file is
+# committed, so regressions show up as diffs; -baseline additionally
+# fails the run when allocs/op rose more than 10% above the previous
+# record (BENCH_13.json, the parent commit measured on the same host).
 bench-json:
-	$(GO) test -run '^$$' -bench SimulatorSpeed -benchmem -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson -o BENCH_9.json -baseline BENCH_8.json
+	$(GO) test -run '^$$' -bench SimulatorSpeed -benchmem -benchtime 3x -count 5 . \
+		| $(GO) run ./cmd/benchjson -o BENCH_14.json -baseline BENCH_13.json
 
 # Validate the committed trajectory record and gate it against the
-# previous PR's record (CI smoke gate; deterministic — compares the two
-# committed files, no benchmark run).
+# previous record (CI smoke gate; deterministic — compares the two
+# committed files, no benchmark run): allocs/op must not rise, nor
+# sim_cycles/s fall, by more than 10%.
 bench-json-check:
-	$(GO) run ./cmd/benchjson -check BENCH_9.json -baseline BENCH_8.json
+	$(GO) run ./cmd/benchjson -check BENCH_14.json -baseline BENCH_13.json
 
 clean:
 	$(GO) clean ./...

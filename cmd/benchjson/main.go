@@ -13,12 +13,16 @@
 // iteration count, then (value, unit) pairs — and keeps every unit it
 // sees, including custom b.ReportMetric units. Non-benchmark lines
 // (PASS, ok, goos/goarch headers) pass through to stderr so the human
-// still sees the run.
+// still sees the run. The lines of a `-count N` run fold into one entry
+// per benchmark holding each metric's median.
 //
-// -baseline compares sim_cycles/s against a prior record (in either
-// parse or -check mode) and exits non-zero when any benchmark present
-// in both files regressed by more than -max-regress (default 10%) —
-// the bench regression gate CI runs against the previous PR's record.
+// -baseline compares against a prior record and exits non-zero when any
+// benchmark present in both files regressed by more than -max-regress
+// (default 10%) — the bench regression gate CI runs against the previous
+// record. allocs/op (lower is better) is gated in both modes: it is
+// a count, so a fresh run on any host can be held to a committed record.
+// sim_cycles/s (higher is better) is a host time and is gated only in
+// -check mode, between two committed records.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -58,8 +63,8 @@ func main() {
 	var (
 		out        = flag.String("o", "", "write the JSON record to this file (empty = stdout)")
 		check      = flag.String("check", "", "validate an existing record instead of parsing benchmark output")
-		baseline   = flag.String("baseline", "", "compare sim_cycles/s against this prior record; exit non-zero on regression")
-		maxRegress = flag.Float64("max-regress", 0.10, "with -baseline: tolerated fractional sim_cycles/s drop before failing")
+		baseline   = flag.String("baseline", "", "compare allocs/op (and, with -check, sim_cycles/s) against this prior record; exit non-zero on regression")
+		maxRegress = flag.Float64("max-regress", 0.10, "with -baseline: tolerated fractional regression before failing")
 	)
 	flag.Parse()
 
@@ -68,7 +73,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := gate(f, *baseline, *maxRegress); err != nil {
+		if err := gate(f, *baseline, *maxRegress, true); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchjson: %s ok\n", *check)
@@ -92,16 +97,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(f.Benchmarks))
 	}
-	if err := gate(f, *baseline, *maxRegress); err != nil {
+	if err := gate(f, *baseline, *maxRegress, false); err != nil {
 		fatal(err)
 	}
 }
 
 // gate fails (non-nil error) when any benchmark present in both f and
-// the baseline record dropped its sim_cycles/s by more than maxRegress.
-// An empty baseline path is a no-op; benchmarks without the metric, or
-// absent from either side, are skipped (renames must not wedge CI).
-func gate(f *File, baselinePath string, maxRegress float64) error {
+// the baseline record rose its allocs/op, or — when committed, i.e. f is
+// a committed record rather than a fresh run — dropped its sim_cycles/s,
+// by more than maxRegress. An empty baseline path is a no-op; benchmarks
+// absent from either side are skipped (renames must not wedge CI), and
+// so is allocs/op when either side lacks it (older records).
+func gate(f *File, baselinePath string, maxRegress float64, committed bool) error {
 	if baselinePath == "" {
 		return nil
 	}
@@ -109,7 +116,6 @@ func gate(f *File, baselinePath string, maxRegress float64) error {
 	if err != nil {
 		return err
 	}
-	const metric = "sim_cycles/s"
 	baseBy := make(map[string]Bench, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
@@ -123,19 +129,36 @@ func gate(f *File, baselinePath string, maxRegress float64) error {
 			// benchmark, which must not wedge CI.
 			continue
 		}
+		const allocs = "allocs/op"
+		was, wasOK := bb.Metrics[allocs]
+		now, nowOK := b.Metrics[allocs]
+		if wasOK && nowOK {
+			// A count: zero is a valid value on either side.
+			compared++
+			fmt.Fprintf(os.Stderr, "benchjson: %-40s %s %12.0f -> %12.0f\n", b.Name, allocs, was, now)
+			if now > was*(1+maxRegress) {
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %s rose %.0f -> %.0f (tolerance %.0f%%)",
+						b.Name, allocs, was, now, maxRegress*100))
+			}
+		}
+		if !committed {
+			continue
+		}
 		// A benchmark present on both sides but with a zero or missing
-		// metric is a broken record, not a rename: comparing would divide
+		// rate is a broken record, not a rename: comparing would divide
 		// by zero or silently pass the gate, so warn loudly and skip. If
 		// every common benchmark is skipped this way, the compared == 0
 		// error below fails the gate.
-		was, ok := bb.Metrics[metric]
+		const metric = "sim_cycles/s"
+		was, ok = bb.Metrics[metric]
 		if !ok || was <= 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: WARNING: %s: baseline %s has zero or missing %s (%g) — cannot gate this benchmark\n",
 				b.Name, baselinePath, metric, was)
 			skipped++
 			continue
 		}
-		now, ok := b.Metrics[metric]
+		now, ok = b.Metrics[metric]
 		if !ok || now <= 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: WARNING: %s: current record has zero or missing %s (%g) against baseline %.0f — cannot gate this benchmark\n",
 				b.Name, metric, now, was)
@@ -153,12 +176,12 @@ func gate(f *File, baselinePath string, maxRegress float64) error {
 		}
 	}
 	if compared == 0 {
-		return fmt.Errorf("benchjson: no benchmark in common with %s carries a usable %s (%d skipped with warnings)",
-			baselinePath, metric, skipped)
+		return fmt.Errorf("benchjson: no benchmark in common with %s carries a usable gated metric (%d skipped with warnings)",
+			baselinePath, skipped)
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("benchjson: %s regression vs %s:\n  %s",
-			metric, baselinePath, strings.Join(regressions, "\n  "))
+		return fmt.Errorf("benchjson: regression vs %s:\n  %s",
+			baselinePath, strings.Join(regressions, "\n  "))
 	}
 	return nil
 }
@@ -189,7 +212,39 @@ func parse(r io.Reader, echo io.Writer) (*File, error) {
 	if len(f.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark lines on stdin (pipe `go test -bench ...` output in)")
 	}
+	f.Benchmarks = mergeRuns(f.Benchmarks)
 	return f, nil
+}
+
+// mergeRuns folds repeated lines of one benchmark (`go test -count N`)
+// into one entry, in first-seen order: iterations summed, each metric
+// the median of its runs, so one run slowed by a busy host does not
+// decide the record.
+func mergeRuns(runs []Bench) []Bench {
+	var out []Bench
+	index := map[string]int{}
+	values := map[string]map[string][]float64{}
+	for _, r := range runs {
+		i, ok := index[r.Name]
+		if !ok {
+			i = len(out)
+			index[r.Name] = i
+			values[r.Name] = map[string][]float64{}
+			out = append(out, Bench{Name: r.Name, Metrics: map[string]float64{}})
+		}
+		out[i].Iterations += r.Iterations
+		for unit, v := range r.Metrics {
+			values[r.Name][unit] = append(values[r.Name][unit], v)
+		}
+	}
+	for _, b := range out {
+		for unit, vs := range values[b.Name] {
+			sort.Float64s(vs)
+			n := len(vs)
+			b.Metrics[unit] = (vs[(n-1)/2] + vs[n/2]) / 2
+		}
+	}
+	return out
 }
 
 // parseLine parses one `BenchmarkName-8  N  v1 u1  v2 u2 ...` line.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -147,11 +148,11 @@ func TestGate(t *testing.T) {
 		{Name: "SimulatorSpeedMetrics", Iterations: 1,
 			Metrics: map[string]float64{"ns/op": 1, "sim_cycles/s": 60e6}},
 	}}
-	if err := gate(cur, baseline, 0.10); err != nil {
+	if err := gate(cur, baseline, 0.10, true); err != nil {
 		t.Errorf("5%% slowdown within 10%% tolerance rejected: %v", err)
 	}
 	cur.Benchmarks[0].Metrics["sim_cycles/s"] = 80e6
-	err := gate(cur, baseline, 0.10)
+	err := gate(cur, baseline, 0.10, true)
 	if err == nil || !strings.Contains(err.Error(), "SimulatorSpeed") {
 		t.Errorf("20%% slowdown passed the 10%% gate: %v", err)
 	}
@@ -159,10 +160,10 @@ func TestGate(t *testing.T) {
 		{Name: "Elsewhere", Iterations: 1,
 			Metrics: map[string]float64{"ns/op": 1, "sim_cycles/s": 1}},
 	}}
-	if err := gate(disjoint, baseline, 0.10); err == nil {
+	if err := gate(disjoint, baseline, 0.10, true); err == nil {
 		t.Error("gate with no benchmarks in common reported success")
 	}
-	if err := gate(cur, filepath.Join(dir, "missing.json"), 0.10); err == nil {
+	if err := gate(cur, filepath.Join(dir, "missing.json"), 0.10, true); err == nil {
 		t.Error("gate with unreadable baseline reported success")
 	}
 }
@@ -203,12 +204,75 @@ func TestGateZeroOrMissingBaselineMetric(t *testing.T) {
 	}}
 	// Zero and Missing are skipped (no division by zero, no phantom
 	// regression), Good compares and passes.
-	if err := gate(cur, baseline, 0.10); err != nil {
+	if err := gate(cur, baseline, 0.10, true); err != nil {
 		t.Errorf("gate with one usable benchmark failed: %v", err)
 	}
 	// A zero metric on the current side is likewise skipped, not passed.
 	cur.Benchmarks[2].Metrics["sim_cycles/s"] = 0
-	if err := gate(cur, baseline, 0.10); err == nil {
+	if err := gate(cur, baseline, 0.10, true); err == nil {
 		t.Error("gate with every common benchmark broken reported success")
+	}
+}
+
+// TestGateAllocs pins the allocs/op gate and the mode rule: allocs/op
+// may rise up to the tolerance and is gated for a fresh run and for a
+// committed record alike, while sim_cycles/s is gated only between
+// committed records.
+func TestGateAllocs(t *testing.T) {
+	record := func(cyclesPerSec, allocs float64) *File {
+		return &File{Schema: schemaVersion, Benchmarks: []Bench{{
+			Name: "SimulatorSpeed", Iterations: 1,
+			Metrics: map[string]float64{"ns/op": 1, "sim_cycles/s": cyclesPerSec, "allocs/op": allocs},
+		}}}
+	}
+	data, err := json.Marshal(record(100e6, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		cur       *File
+		committed bool
+		fail      bool
+	}{
+		{"within tolerance", record(95e6, 1090), true, false},
+		{"allocs rose past tolerance", record(100e6, 1200), true, true},
+		{"fresh run, allocs rose", record(100e6, 1200), false, true},
+		{"fresh run, allocs fell to zero", record(100e6, 0), false, false},
+		{"committed, slower", record(10e6, 1000), true, true},
+		{"fresh run, slower", record(10e6, 1000), false, false},
+	} {
+		err := gate(c.cur, path, 0.10, c.committed)
+		if (err != nil) != c.fail {
+			t.Errorf("%s: gate error = %v, want failure %v", c.name, err, c.fail)
+		}
+	}
+}
+
+// TestParseMergesRepeatedRuns: `go test -count N` prints one line per
+// run; they fold into one entry per benchmark, in first-seen order, with
+// iterations summed and each metric the median of the runs.
+func TestParseMergesRepeatedRuns(t *testing.T) {
+	in := strings.Join([]string{
+		"BenchmarkA-2   3   100 ns/op   10 sim_cycles/s   7 allocs/op",
+		"BenchmarkB-2   3   500 ns/op   50 sim_cycles/s",
+		"BenchmarkA-2   3   300 ns/op    4 sim_cycles/s   7 allocs/op",
+		"BenchmarkA-2   3   200 ns/op   20 sim_cycles/s   9 allocs/op",
+		"BenchmarkB-2   3   700 ns/op   30 sim_cycles/s",
+	}, "\n")
+	f, err := parse(strings.NewReader(in), &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Bench{
+		{Name: "A", Iterations: 9, Metrics: map[string]float64{"ns/op": 200, "sim_cycles/s": 10, "allocs/op": 7}},
+		{Name: "B", Iterations: 6, Metrics: map[string]float64{"ns/op": 600, "sim_cycles/s": 40}},
+	}
+	if !reflect.DeepEqual(f.Benchmarks, want) {
+		t.Errorf("merged = %+v, want %+v", f.Benchmarks, want)
 	}
 }

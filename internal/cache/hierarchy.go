@@ -139,16 +139,11 @@ const (
 )
 
 type llcReq struct {
-	kind     llcReqKind
-	lineAddr uint64
-	// read fields
-	persistent bool
-	// writeback fields
-	line Line
-	// onDone fires when the request has been processed at the LLC (for
-	// writebacks: installed; for reads: unused — the inflight table
-	// owns read completion).
-	onDone  func()
+	kind llcReqKind
+	// fill is a read's inflight entry (nil for writebacks).
+	fill *fill
+	// line is a writeback's line (unused for reads).
+	line    Line
 	enqueue uint64
 }
 
@@ -159,6 +154,95 @@ type waiter struct {
 	txID       uint64
 	uncommit   bool
 	done       func()
+}
+
+// The hierarchy's request records (see sim.Pool for the ownership rule).
+// Each carries what one scheduled callback needs, with the callback bound
+// once as a method value when the record is built.
+
+// fill is one outstanding line fill beyond the private levels. It is
+// the line's inflight entry from the first miss until completeFill hands
+// the line to every merged waiter; the waiter slice keeps its capacity
+// across reuses.
+type fill struct {
+	h          *Hierarchy
+	lineAddr   uint64
+	persistent bool
+	waiters    []waiter
+	// llcLine is the LLC's copy of the line on an LLC hit.
+	llcLine Line
+	// sideHit marks a memory fill whose side-path probe hit, with start
+	// the cycle the LLC served it (metrics on only).
+	sideHit bool
+	start   uint64
+
+	enqueueFn, llcHitFn, memReadFn, memDoneFn func()
+}
+
+// enqueue queues the fill's LLC read after the private-level tag checks.
+func (f *fill) enqueue() {
+	h := f.h
+	h.queue = append(h.queue, llcReq{kind: llcRead, fill: f, enqueue: h.k.Now()})
+}
+
+func (f *fill) llcHit() { f.h.completeFill(f, f.llcLine, false) }
+
+func (f *fill) memRead() { f.h.mem.Read(f.lineAddr, f.memDoneFn) }
+
+func (f *fill) memDone() {
+	h := f.h
+	if f.sideHit {
+		h.hSideHitLat.Observe(h.k.Now() - f.start)
+	}
+	h.completeFill(f, Line{Addr: f.lineAddr, Valid: true}, true)
+}
+
+// wbInstall is a writeback's LLC install, LLCLatency after the LLC port
+// accepted it.
+type wbInstall struct {
+	h    *Hierarchy
+	line Line
+	fn   func()
+}
+
+func (w *wbInstall) run() {
+	h, line := w.h, w.line
+	h.wbInstalls.Put(w)
+	h.installWriteback(line)
+}
+
+// flushWrite is a clwb/clflush's posted memory write.
+type flushWrite struct {
+	h           *Hierarchy
+	lineAddr    uint64
+	apply, done func()
+	fn          func()
+}
+
+func (f *flushWrite) run() {
+	h, lineAddr, apply, done := f.h, f.lineAddr, f.apply, f.done
+	f.apply, f.done = nil, nil
+	h.flushWrites.Put(f)
+	h.mem.Write(lineAddr, apply, done)
+}
+
+// txCommit is a FlushTx commit waiting for its transaction's writebacks
+// to land in the LLC.
+type txCommit struct {
+	h      *Hierarchy
+	core   int
+	txID   uint64
+	start  uint64
+	nLines uint64
+	done   func()
+	fn     func()
+}
+
+func (c *txCommit) finish() {
+	h, core, txID, start, nLines, done := c.h, c.core, c.txID, c.start, c.nLines, c.done
+	c.done = nil
+	h.txCommits.Put(c)
+	h.finishTx(core, txID, start, nLines, done)
 }
 
 // Hierarchy is the three-level cache model shared by all four mechanisms.
@@ -172,7 +256,7 @@ type Hierarchy struct {
 	llc    *SetAssoc
 
 	queue    []llcReq
-	inflight map[uint64][]waiter
+	inflight map[uint64]*fill
 	portBusy uint64 // cycle until which the LLC port is occupied
 	// commitLocks counts in-progress FlushTx commits. While nonzero,
 	// demand reads stall at the LLC and only writebacks (the flush's
@@ -186,6 +270,14 @@ type Hierarchy struct {
 	// transaction's evicted lines is still in transit to the LLC).
 	txWB     map[uint64]int
 	txWBWait map[uint64]func()
+
+	// Request-record pools, and FlushTx's reusable line buffer.
+	fills       sim.Pool[fill]
+	wbInstalls  sim.Pool[wbInstall]
+	flushWrites sim.Pool[flushWrite]
+	txCommits   sim.Pool[txCommit]
+	flushBuf    []Line
+	victim      Line
 
 	// probe is the observability recorder (nil when disabled).
 	probe *obs.Probe
@@ -207,9 +299,30 @@ func New(k *sim.Kernel, cfg Config, mem Memory, hooks Hooks, nCores int) *Hierar
 	h := &Hierarchy{
 		k: k, cfg: cfg, mem: mem, hooks: hooks,
 		llc:      NewSetAssoc("LLC", cfg.LLCSize, cfg.LLCWays),
-		inflight: make(map[uint64][]waiter),
+		inflight: make(map[uint64]*fill),
 		txWB:     make(map[uint64]int),
 		txWBWait: make(map[uint64]func()),
+	}
+	h.fills.New = func() *fill {
+		f := &fill{h: h}
+		f.enqueueFn, f.llcHitFn = f.enqueue, f.llcHit
+		f.memReadFn, f.memDoneFn = f.memRead, f.memDone
+		return f
+	}
+	h.wbInstalls.New = func() *wbInstall {
+		w := &wbInstall{h: h}
+		w.fn = w.run
+		return w
+	}
+	h.flushWrites.New = func() *flushWrite {
+		f := &flushWrite{h: h}
+		f.fn = f.run
+		return f
+	}
+	h.txCommits.New = func() *txCommit {
+		c := &txCommit{h: h}
+		c.fn = c.finish
+		return c
 	}
 	for c := 0; c < nCores; c++ {
 		h.l1 = append(h.l1, NewSetAssoc(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Ways))
@@ -272,7 +385,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 	// L1.
 	if l := h.l1[core].Lookup(lineAddr, true); l != nil {
 		if store {
-			h.markStore(l, persistent, txID, uncommitted)
+			markStore(h.l1[core], l, persistent, txID, uncommitted)
 		}
 		h.k.Schedule(h.cfg.L1Latency, done)
 		return
@@ -281,7 +394,7 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 	if l := h.l2[core].Lookup(lineAddr, true); l != nil {
 		moved := *l
 		if store {
-			h.markStore(l, persistent, txID, uncommitted)
+			markStore(h.l2[core], l, persistent, txID, uncommitted)
 			moved = *l
 		}
 		// Promote into L1 (non-inclusive: move, keeping L2 copy is
@@ -294,35 +407,41 @@ func (h *Hierarchy) Access(core int, addr uint64, store, persistent bool, txID u
 	// Miss beyond the private levels: merge into an in-flight fill if
 	// one exists, else enqueue an LLC request.
 	w := waiter{core: core, store: store, persistent: persistent, txID: txID, uncommit: uncommitted, done: done}
-	if ws, ok := h.inflight[lineAddr]; ok {
-		h.inflight[lineAddr] = append(ws, w)
+	if f := h.inflight[lineAddr]; f != nil {
+		f.waiters = append(f.waiters, w)
 		return
 	}
-	h.inflight[lineAddr] = []waiter{w}
-	delay := h.cfg.L1Latency + h.cfg.L2Latency
-	h.k.Schedule(delay, func() {
-		h.queue = append(h.queue, llcReq{
-			kind: llcRead, lineAddr: lineAddr, persistent: persistent, enqueue: h.k.Now(),
-		})
-	})
+	f := h.fills.Get()
+	f.lineAddr, f.persistent = lineAddr, persistent
+	f.waiters = append(f.waiters[:0], w)
+	h.inflight[lineAddr] = f
+	h.k.Schedule(h.cfg.L1Latency+h.cfg.L2Latency, f.enqueueFn)
 }
 
-func (h *Hierarchy) markStore(l *Line, persistent bool, txID uint64, uncommitted bool) {
-	l.Dirty = true
+// markStore applies a store's flags to line l of c.
+func markStore(c *SetAssoc, l *Line, persistent bool, txID uint64, uncommitted bool) {
+	v := *l
+	v.Dirty = true
 	if persistent {
-		l.Persistent = true
+		v.Persistent = true
 	}
 	if txID != 0 {
-		l.TxID = txID
-		l.Uncommitted = uncommitted
+		v.TxID = txID
+		v.Uncommitted = uncommitted
 	}
+	c.Set(l, v)
+}
+
+// install fills a slot freshly returned by c.Insert with line's state.
+func install(c *SetAssoc, installed *Line, line Line) {
+	line.Valid = true
+	c.Set(installed, line)
 }
 
 // installL1 places a line into core's L1, cascading the victim.
 func (h *Hierarchy) installL1(core int, line Line) {
 	evicted, installed, _ := h.l1[core].Insert(line.Addr, nil)
-	*installed = line
-	installed.Valid = true
+	install(h.l1[core], installed, line)
 	if evicted.Valid && evicted.Dirty {
 		h.installL2(core, evicted)
 	}
@@ -332,32 +451,35 @@ func (h *Hierarchy) installL1(core int, line Line) {
 // dirty victims to the LLC queue.
 func (h *Hierarchy) installL2(core int, line Line) {
 	if l := h.l2[core].Lookup(line.Addr, false); l != nil {
-		h.mergeFlags(l, line)
+		mergeFlags(h.l2[core], l, line)
 		return
 	}
 	evicted, installed, _ := h.l2[core].Insert(line.Addr, nil)
-	*installed = line
-	installed.Valid = true
+	install(h.l2[core], installed, line)
 	if evicted.Valid && evicted.Dirty {
-		h.queueWriteback(evicted, nil)
+		h.queueWriteback(evicted)
 	}
 }
 
-func (h *Hierarchy) mergeFlags(dst *Line, src Line) {
+// mergeFlags folds src's dirty, persistent and transaction state into
+// line dst of c.
+func mergeFlags(c *SetAssoc, dst *Line, src Line) {
+	v := *dst
 	if src.Dirty {
-		dst.Dirty = true
+		v.Dirty = true
 	}
 	if src.Persistent {
-		dst.Persistent = true
+		v.Persistent = true
 	}
 	if src.TxID != 0 {
-		dst.TxID = src.TxID
-		dst.Uncommitted = src.Uncommitted
+		v.TxID = src.TxID
+		v.Uncommitted = src.Uncommitted
 	}
+	c.Set(dst, v)
 }
 
 // queueWriteback enqueues a dirty line for installation into the LLC.
-func (h *Hierarchy) queueWriteback(line Line, onDone func()) {
+func (h *Hierarchy) queueWriteback(line Line) {
 	if DebugLine != 0 && line.Addr == DebugLine {
 		fmt.Printf("[%d] queueWriteback line %#x tx=%d uncommit=%v dirty=%v\n",
 			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, line.Dirty)
@@ -365,9 +487,7 @@ func (h *Hierarchy) queueWriteback(line Line, onDone func()) {
 	if line.TxID != 0 {
 		h.txWB[line.TxID]++
 	}
-	h.queue = append(h.queue, llcReq{
-		kind: llcWriteback, lineAddr: line.Addr, line: line, onDone: onDone, enqueue: h.k.Now(),
-	})
+	h.queue = append(h.queue, llcReq{kind: llcWriteback, line: line, enqueue: h.k.Now()})
 }
 
 // wbLanded retires one in-transit writeback for a transaction, waking a
@@ -423,9 +543,11 @@ func (h *Hierarchy) Tick(now uint64) {
 		h.stats.LLCQueueWaitSum += now - req.enqueue
 		switch req.kind {
 		case llcRead:
-			h.serveLLCRead(req)
+			h.serveLLCRead(req.fill)
 		case llcWriteback:
-			h.serveLLCWriteback(req)
+			w := h.wbInstalls.Get()
+			w.line = req.line
+			h.k.Schedule(h.cfg.LLCLatency, w.fn)
 			if h.cfg.LLCWriteOccupancy > 1 {
 				h.portBusy = now + h.cfg.LLCWriteOccupancy
 				return
@@ -434,52 +556,41 @@ func (h *Hierarchy) Tick(now uint64) {
 	}
 }
 
-func (h *Hierarchy) serveLLCRead(req llcReq) {
-	if l := h.llc.Lookup(req.lineAddr, true); l != nil {
-		line := *l
-		h.k.Schedule(h.cfg.LLCLatency, func() { h.completeFill(req.lineAddr, line, false) })
+func (h *Hierarchy) serveLLCRead(f *fill) {
+	if l := h.llc.Lookup(f.lineAddr, true); l != nil {
+		f.llcLine = *l
+		h.k.Schedule(h.cfg.LLCLatency, f.llcHitFn)
 		return
 	}
-	if req.persistent && h.hooks.SidePathProbe != nil {
+	f.sideHit = false
+	if f.persistent && h.hooks.SidePathProbe != nil {
 		h.stats.SidePathProbes++
 		hit := uint64(0)
-		if h.hooks.SidePathProbe(req.lineAddr) {
+		if h.hooks.SidePathProbe(f.lineAddr) {
 			h.stats.SidePathHits++
 			hit = 1
 		}
 		if h.probe != nil { // guard: this site is per-LLC-miss hot
-			h.probe.Instant(obs.KSideProbe, -1, req.lineAddr, h.k.Now(), hit)
+			h.probe.Instant(obs.KSideProbe, -1, f.lineAddr, h.k.Now(), hit)
 		}
-		if h.hSideHitLat != nil && hit == 1 {
-			// Metrics-enabled side-hit fill: identical timing to the
-			// plain path below, plus a latency observation when the
-			// data returns.
-			start := h.k.Now()
-			h.k.Schedule(h.cfg.LLCLatency, func() {
-				h.mem.Read(req.lineAddr, func() {
-					h.hSideHitLat.Observe(h.k.Now() - start)
-					h.completeFill(req.lineAddr, Line{Addr: req.lineAddr, Valid: true}, true)
-				})
-			})
-			return
-		}
+		// Metrics-enabled side-hit fill: identical timing, plus a
+		// latency observation when the data returns.
+		f.sideHit = h.hSideHitLat != nil && hit == 1
+		f.start = h.k.Now()
 	}
-	h.k.Schedule(h.cfg.LLCLatency, func() {
-		h.mem.Read(req.lineAddr, func() {
-			h.completeFill(req.lineAddr, Line{Addr: req.lineAddr, Valid: true}, true)
-		})
-	})
+	h.k.Schedule(h.cfg.LLCLatency, f.memReadFn)
 }
 
-// completeFill distributes a returned line to every merged waiter and,
-// for memory fills, installs it in the LLC.
-func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
+// completeFill distributes a returned line to every waiter merged into
+// f and, for memory fills, installs it in the LLC. f returns to its
+// pool once every waiter has been served.
+func (h *Hierarchy) completeFill(f *fill, line Line, fromMemory bool) {
 	if fromMemory {
 		h.insertLLC(line)
 	}
-	waiters := h.inflight[lineAddr]
+	lineAddr := f.lineAddr
 	delete(h.inflight, lineAddr)
-	for _, w := range waiters {
+	for _, w := range f.waiters {
 		filled := Line{Addr: lineAddr, Valid: true, Persistent: line.Persistent}
 		if w.store {
 			filled.Dirty = true
@@ -494,7 +605,7 @@ func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
 		// A second waiter for the same line on the same core would
 		// re-insert an existing line; merge through L1 lookup first.
 		if l := h.l1[w.core].Lookup(lineAddr, false); l != nil {
-			h.mergeFlags(l, filled)
+			mergeFlags(h.l1[w.core], l, filled)
 		} else {
 			h.installL1(w.core, filled)
 		}
@@ -502,62 +613,48 @@ func (h *Hierarchy) completeFill(lineAddr uint64, line Line, fromMemory bool) {
 			w.done()
 		}
 	}
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+	h.fills.Put(f)
 }
 
-// serveLLCWriteback installs a dirty line arriving from a private L2 (or
-// a Kiln commit flush) into the LLC.
-func (h *Hierarchy) serveLLCWriteback(req llcReq) {
-	h.k.Schedule(h.cfg.LLCLatency, func() {
-		line := req.line
-		if DebugLine != 0 && line.Addr == DebugLine {
-			ex := h.llc.Lookup(line.Addr, false)
-			fmt.Printf("[%d] serveWB line %#x tx=%d uncommit=%v existing=%+v\n",
-				h.k.Now(), line.Addr, line.TxID, line.Uncommitted, ex)
+// installWriteback installs a dirty line arriving from a private L2 (or
+// a Kiln commit flush) into the LLC, LLCLatency after the port served it.
+func (h *Hierarchy) installWriteback(line Line) {
+	if DebugLine != 0 && line.Addr == DebugLine {
+		ex := h.llc.Lookup(line.Addr, false)
+		fmt.Printf("[%d] serveWB line %#x tx=%d uncommit=%v existing=%+v\n",
+			h.k.Now(), line.Addr, line.TxID, line.Uncommitted, ex)
+	}
+	// Probe, not demand lookup: writeback installs must not skew the
+	// demand miss-rate statistics.
+	l := h.llc.Lookup(line.Addr, false)
+	if l != nil && h.hooks.BeforeLLCDirtyUpdate != nil {
+		h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
+		// The hook may have reshaped the set (placeholder installs):
+		// re-resolve the line pointer.
+		l = h.llc.Lookup(line.Addr, false)
+	}
+	if l != nil {
+		mergeFlags(h.llc, l, line)
+		v := *l
+		v.Uncommitted = line.Uncommitted
+		v.TxID = line.TxID
+		h.llc.Set(l, v)
+		if h.hooks.OnLLCDirtyInstall != nil {
+			h.hooks.OnLLCDirtyInstall(line.Addr)
 		}
-		// Probe, not demand lookup: writeback installs must not skew
-		// the demand miss-rate statistics.
-		if l := h.llc.Lookup(line.Addr, false); l != nil {
-			if h.hooks.BeforeLLCDirtyUpdate != nil {
-				h.hooks.BeforeLLCDirtyUpdate(*l, line.TxID, line.Uncommitted)
-				// The hook may have reshaped the set (placeholder
-				// installs): re-resolve the line pointer.
-				l = h.llc.Lookup(line.Addr, false)
-				if l == nil {
-					if installed := h.insertLLC(line); installed != nil {
-						if h.hooks.OnLLCDirtyInstall != nil {
-							h.hooks.OnLLCDirtyInstall(line.Addr)
-						}
-					} else {
-						h.writebackToMemory(line)
-					}
-					h.wbLanded(line.TxID)
-					if req.onDone != nil {
-						req.onDone()
-					}
-					return
-				}
-			}
-			h.mergeFlags(l, line)
-			l.Uncommitted = line.Uncommitted
-			l.TxID = line.TxID
-			if h.hooks.OnLLCDirtyInstall != nil {
-				h.hooks.OnLLCDirtyInstall(line.Addr)
-			}
-		} else if installed := h.insertLLC(line); installed != nil {
-			if h.hooks.OnLLCDirtyInstall != nil {
-				h.hooks.OnLLCDirtyInstall(line.Addr)
-			}
-		} else {
-			// Bypass under total pinning pressure: retire straight
-			// to memory (counted; recovery strictness is checked by
-			// the crash tests).
-			h.writebackToMemory(line)
+	} else if installed := h.insertLLC(line); installed != nil {
+		if h.hooks.OnLLCDirtyInstall != nil {
+			h.hooks.OnLLCDirtyInstall(line.Addr)
 		}
-		h.wbLanded(line.TxID)
-		if req.onDone != nil {
-			req.onDone()
-		}
-	})
+	} else {
+		// Bypass under total pinning pressure: retire straight to
+		// memory (counted; recovery strictness is checked by the crash
+		// tests).
+		h.writebackToMemory(line)
+	}
+	h.wbLanded(line.TxID)
 }
 
 // insertLLC installs a line, handling victim policy and eviction routing.
@@ -566,7 +663,7 @@ func (h *Hierarchy) serveLLCWriteback(req llcReq) {
 // the LLC latency window) is merged in place.
 func (h *Hierarchy) insertLLC(line Line) *Line {
 	if l := h.llc.Lookup(line.Addr, false); l != nil {
-		h.mergeFlags(l, line)
+		mergeFlags(h.llc, l, line)
 		return l
 	}
 	evicted, installed, ok := h.llc.Insert(line.Addr, h.hooks.AllowLLCVictim)
@@ -574,15 +671,9 @@ func (h *Hierarchy) insertLLC(line Line) *Line {
 		h.stats.LLCBypasses++
 		return nil
 	}
-	*installed = line
-	installed.Valid = true
+	install(h.llc, installed, line)
 	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(&evicted) {
-			h.stats.DroppedEvictions++
-			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
-		} else {
-			h.writebackToMemory(evicted)
-		}
+		h.evictLLC(evicted)
 	}
 	return installed
 }
@@ -610,12 +701,20 @@ func (h *Hierarchy) InstallPlaceholder(lineAddr, protect uint64) {
 	}
 	installed.Valid = true
 	if evicted.Valid && evicted.Dirty {
-		if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(&evicted) {
-			h.stats.DroppedEvictions++
-			h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
-		} else {
-			h.writebackToMemory(evicted)
-		}
+		h.evictLLC(evicted)
+	}
+}
+
+// evictLLC routes a dirty LLC victim: dropped when the drop hook says
+// so, else written back to memory. The victim is passed to the hook
+// through h.victim, so taking its address does not move it to the heap.
+func (h *Hierarchy) evictLLC(evicted Line) {
+	h.victim = evicted
+	if h.hooks.DropLLCEviction != nil && h.hooks.DropLLCEviction(&h.victim) {
+		h.stats.DroppedEvictions++
+		h.probe.Instant(obs.KLLCPDrop, -1, evicted.Addr, h.k.Now(), 0)
+	} else {
+		h.writebackToMemory(evicted)
 	}
 }
 
@@ -646,38 +745,44 @@ func (h *Hierarchy) FlushInv(core int, addr uint64, done func()) {
 
 func (h *Hierarchy) flushLine(core int, addr uint64, invalidate bool, done func()) {
 	lineAddr := memaddr.LineAddr(addr)
-	for _, c := range []*SetAssoc{h.l1[core], h.l2[core], h.llc} {
-		if l := c.Lookup(lineAddr, false); l != nil {
-			if l.Dirty {
-				l.Dirty = false
-				h.stats.CleanedLines++
-			}
-			if invalidate {
-				c.Invalidate(lineAddr)
-			}
+	h.cleanLine(h.l1[core], lineAddr, invalidate)
+	h.cleanLine(h.l2[core], lineAddr, invalidate)
+	h.cleanLine(h.llc, lineAddr, invalidate)
+	h.stats.MemWritebacks++
+	f := h.flushWrites.Get()
+	f.lineAddr, f.apply, f.done = lineAddr, nil, done
+	if h.hooks.WritebackApply != nil {
+		f.apply = h.hooks.WritebackApply(lineAddr)
+	}
+	h.k.Schedule(h.cfg.L1Latency, f.fn)
+}
+
+// cleanLine cleans (and with invalidate, drops) c's copy of lineAddr.
+func (h *Hierarchy) cleanLine(c *SetAssoc, lineAddr uint64, invalidate bool) {
+	if l := c.Lookup(lineAddr, false); l != nil {
+		if l.Dirty {
+			l.Dirty = false
+			h.stats.CleanedLines++
+		}
+		if invalidate {
+			c.Invalidate(lineAddr)
 		}
 	}
-	h.stats.MemWritebacks++
-	var apply func()
-	if h.hooks.WritebackApply != nil {
-		apply = h.hooks.WritebackApply(lineAddr)
-	}
-	h.k.Schedule(h.cfg.L1Latency, func() {
-		h.mem.Write(lineAddr, apply, done)
-	})
 }
 
 // FlushTx moves every dirty line of txID out of core's private caches
 // into the LLC (Kiln's commit flush) and, once all are installed, clears
 // the Uncommitted pin on the transaction's LLC lines. done fires at that
-// point.
+// point. Both walks visit only the sets in the caches' tag indexes, in
+// ascending slot order, so they find the same lines in the same order a
+// walk over every slot would.
 func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
 	// Flushed lines remain tagged uncommitted while in transit; the
-	// commit becomes visible atomically in the unpin walk below, so a
-	// crash mid-flush never exposes a partially committed transaction.
-	var lines []Line
-	for _, c := range []*SetAssoc{h.l1[core], h.l2[core]} {
-		c.ForEach(func(l *Line) {
+	// commit becomes visible atomically in the unpin walk, so a crash
+	// mid-flush never exposes a partially committed transaction.
+	lines := h.flushBuf[:0]
+	for _, c := range [2]*SetAssoc{h.l1[core], h.l2[core]} {
+		c.ForEachTagged(func(l *Line) {
 			if DebugLine != 0 && l.Addr == DebugLine {
 				fmt.Printf("[%d] FlushTx(%d) sees %s line %#x dirty=%v tx=%d\n",
 					h.k.Now(), txID, c.Name(), l.Addr, l.Dirty, l.TxID)
@@ -693,36 +798,40 @@ func (h *Hierarchy) FlushTx(core int, txID uint64, done func()) {
 			}
 		})
 	}
+	h.flushBuf = lines
 	h.stats.FlushedLines += uint64(len(lines))
 	h.commitLocks++
-	flushStart := h.k.Now()
-	nLines := uint64(len(lines))
-	finish := func() {
-		h.probe.Span(obs.KTxFlush, core, txID, flushStart, h.k.Now(), nLines)
-		h.commitLocks--
-		h.llc.ForEach(func(l *Line) {
-			if l.TxID == txID {
-				if DebugLine != 0 && l.Addr == DebugLine {
-					fmt.Printf("[%d] unpin line %#x tx=%d\n", h.k.Now(), l.Addr, txID)
-				}
-				l.Uncommitted = false
-				l.TxID = 0
-			}
-		})
-		done()
-	}
+	rec := h.txCommits.Get()
+	rec.core, rec.txID, rec.start, rec.nLines, rec.done = core, txID, h.k.Now(), uint64(len(lines)), done
 	for _, line := range lines {
-		h.queueWriteback(line, nil)
+		h.queueWriteback(line)
 	}
 	// The commit completes when every writeback of this transaction has
 	// landed in the LLC — both the flush's own lines and any mid-
 	// transaction evictions still in transit.
 	if h.txWB[txID] == 0 {
-		h.k.Schedule(1, finish)
+		h.k.Schedule(1, rec.fn)
 		return
 	}
 	if h.txWBWait[txID] != nil {
 		panic("cache: concurrent FlushTx for one transaction")
 	}
-	h.txWBWait[txID] = finish
+	h.txWBWait[txID] = rec.fn
+}
+
+// finishTx completes a FlushTx commit: the transaction's LLC lines unpin
+// and done fires.
+func (h *Hierarchy) finishTx(core int, txID, start, nLines uint64, done func()) {
+	h.probe.Span(obs.KTxFlush, core, txID, start, h.k.Now(), nLines)
+	h.commitLocks--
+	h.llc.ForEachTagged(func(l *Line) {
+		if l.TxID == txID {
+			if DebugLine != 0 && l.Addr == DebugLine {
+				fmt.Printf("[%d] unpin line %#x tx=%d\n", h.k.Now(), l.Addr, txID)
+			}
+			l.Uncommitted = false
+			l.TxID = 0
+		}
+	})
+	done()
 }

@@ -40,13 +40,23 @@ type Line struct {
 
 // SetAssoc is an LRU set-associative tag array. It carries no data values;
 // the simulator's functional state lives in memory images.
+//
+// The tag index keeps one bit per set (tagged) plus one summary bit per
+// word of tagged (summary). Its invariant is a superset one: every set
+// holding a line with a nonzero TxID has its bit set, and every nonzero
+// word of tagged has its summary bit set. Set, the only writer of a
+// nonzero TxID, sets both bits; ForEachTagged clears them lazily once a
+// walk finds a set (or word) with no tagged line left. Clearing a TxID
+// never needs the index, so callers may zero TxID directly.
 type SetAssoc struct {
-	name  string
-	sets  int
-	ways  int
-	shift uint // log2(sets) for index extraction
-	lines []Line
-	clock uint64
+	name    string
+	sets    int
+	ways    int
+	shift   uint // log2(sets) for index extraction
+	lines   []Line
+	clock   uint64
+	tagged  []uint64
+	summary []uint64
 
 	// Stats.
 	Hits, Misses, Evictions, DirtyEvictions uint64
@@ -64,11 +74,13 @@ func NewSetAssoc(name string, sizeBytes, ways int) *SetAssoc {
 			name, sizeBytes, ways, sets))
 	}
 	return &SetAssoc{
-		name:  name,
-		sets:  sets,
-		ways:  ways,
-		shift: uint(bits.TrailingZeros(uint(sets))),
-		lines: make([]Line, sets*ways),
+		name:    name,
+		sets:    sets,
+		ways:    ways,
+		shift:   uint(bits.TrailingZeros(uint(sets))),
+		lines:   make([]Line, sets*ways),
+		tagged:  make([]uint64, (sets+63)/64),
+		summary: make([]uint64, (sets+64*64-1)/(64*64)),
 	}
 }
 
@@ -168,6 +180,54 @@ func (c *SetAssoc) Invalidate(lineAddr uint64) (Line, bool) {
 		return old, true
 	}
 	return Line{}, false
+}
+
+// Set replaces the contents of slot l, a line of c, with v. It is the
+// only way a nonzero TxID enters a slot: it marks v's set in the tag
+// index, so ForEachTagged finds the line.
+func (c *SetAssoc) Set(l *Line, v Line) {
+	*l = v
+	if v.TxID != 0 {
+		s := c.setOf(v.Addr)
+		c.tagged[s/64] |= 1 << uint(s%64)
+		c.summary[s/(64*64)] |= 1 << uint(s/64%64)
+	}
+}
+
+// ForEachTagged visits every valid line of every set in the tag index,
+// in ascending slot order. Since every line with a nonzero TxID lives in
+// an indexed set, a callback that acts only on lines with a nonzero TxID
+// sees exactly the lines, in the same order, that ForEach would give it.
+// The callback may mutate the line but must not invalidate it or set a
+// nonzero TxID other than through Set. Sets left without a tagged line
+// drop out of the index; a set first tagged by the callback itself may
+// or may not be visited.
+func (c *SetAssoc) ForEachTagged(fn func(*Line)) {
+	for sw, sum := range c.summary {
+		for sum != 0 {
+			wb := bits.TrailingZeros64(sum)
+			sum &= sum - 1
+			w := sw*64 + wb
+			for rest := c.tagged[w]; rest != 0; rest &= rest - 1 {
+				b := bits.TrailingZeros64(rest)
+				s := w*64 + b
+				set := c.lines[s*c.ways : (s+1)*c.ways]
+				keep := false
+				for i := range set {
+					if set[i].Valid {
+						fn(&set[i])
+					}
+					keep = keep || set[i].TxID != 0
+				}
+				if !keep {
+					c.tagged[w] &^= 1 << uint(b)
+				}
+			}
+			if c.tagged[w] == 0 {
+				c.summary[sw] &^= 1 << uint(wb)
+			}
+		}
+	}
 }
 
 // ForEach visits every valid line. The callback may mutate the line but

@@ -245,7 +245,26 @@ type Core struct {
 	// touching core state.
 	wake func()
 
+	// Completion callbacks, bound once at construction. Store, flush
+	// and abort-backoff completions need only the core; a load's
+	// completion carries its issue cycle and persistence in a pooled
+	// loadReq. commitDoneFn is the resume callback of the one TX_END
+	// that may be waiting on the mechanism, whose identity is kept in
+	// the commit* fields.
+	storeDoneFn, flushDoneFn, commitDoneFn, abortEndFn func()
+	loads                                              sim.Pool[loadReq]
+	commitID, commitAt, commitTxStart                  uint64
+
 	stats Stats
+}
+
+// loadReq is an outstanding load: the core's record of it while the
+// hierarchy serves it (see sim.Pool for the ownership rule).
+type loadReq struct {
+	c          *Core
+	issuedAt   uint64
+	persistent bool
+	doneFn     func()
 }
 
 // New builds a core and registers it with the kernel through its
@@ -261,6 +280,12 @@ func New(k *sim.Ctx, id int, cfg Config, hier *cache.Hierarchy, pers Persistence
 		pers = NullPersistence{}
 	}
 	c := &Core{k: k, id: id, cfg: cfg, hier: hier, pers: pers, rd: rd, onStoreRetire: onStoreRetire}
+	c.storeDoneFn, c.flushDoneFn, c.commitDoneFn, c.abortEndFn = c.storeDone, c.flushDone, c.commitDone, c.abortEnd
+	c.loads.New = func() *loadReq {
+		r := &loadReq{c: c}
+		r.doneFn = r.done
+		return r
+	}
 	k.Register(c)
 	return c
 }
@@ -358,10 +383,12 @@ func (c *Core) abortTx() {
 		attempts = 6
 	}
 	backoff := (uint64(8) << uint(attempts)) + uint64((c.id*7)%8)
-	c.k.Schedule(backoff, func() {
-		c.wake()
-		c.aborting = false
-	})
+	c.k.Schedule(backoff, c.abortEndFn)
+}
+
+func (c *Core) abortEnd() {
+	c.wake()
+	c.aborting = false
 }
 
 func (c *Core) retire() { c.hasCur = false }
@@ -479,11 +506,10 @@ func (c *Core) Tick(now uint64) {
 			// record.
 			addr, value := c.cur.Addr, c.cur.Value
 			tag, unc := act.TxTag, act.Uncommitted
-			done := func() { c.wake(); c.outStores--; c.finishCheck() }
 			if c.k.Deferring() {
-				c.k.Defer(func() { c.retireStore(addr, value, persistent, tag, unc, done) })
+				c.k.Defer(func() { c.retireStore(addr, value, persistent, tag, unc) })
 			} else {
-				c.retireStore(addr, value, persistent, tag, unc, done)
+				c.retireStore(addr, value, persistent, tag, unc)
 			}
 			c.stats.Stores++
 			c.stats.Instructions++
@@ -526,20 +552,8 @@ func (c *Core) Tick(now uint64) {
 			c.replayIdx = 0
 			c.abortAttempts = 0
 			txStart := c.txStart
-			if c.pers.TxEnd(c.id, id, func() {
-				c.wake()
-				c.commitWait = false
-				c.stats.Transactions++
-				end := c.k.Now()
-				c.probe.Span(obs.KCommitWait, c.id, id, now, end, 0)
-				c.probe.Span(obs.KTx, c.id, id, txStart, end, 0)
-				c.hCommitWait.Observe(end - now)
-				c.hTxLat.Observe(end - txStart)
-				// Resume fires from a kernel event on the coordinator,
-				// so the flight commit records directly.
-				c.fr.Commit(c.id, id, now, end)
-				c.finishCheck()
-			}) {
+			c.commitID, c.commitAt, c.commitTxStart = id, now, txStart
+			if c.pers.TxEnd(c.id, id, c.commitDoneFn) {
 				c.commitWait = true
 				bd.CommitWait++
 				return
@@ -565,16 +579,11 @@ func (c *Core) Tick(now uint64) {
 			// without stalling retirement. Ordering against later
 			// code is the job of sfence.
 			c.outFlushes++
-			flush := c.hier.Flush
-			if c.cur.Kind == trace.KindCLFlush {
-				flush = c.hier.FlushInv
-			}
-			addr := c.cur.Addr
-			done := func() { c.wake(); c.outFlushes--; c.finishCheck() }
+			addr, inv := c.cur.Addr, c.cur.Kind == trace.KindCLFlush
 			if c.k.Deferring() {
-				c.k.Defer(func() { flush(c.id, addr, done) })
+				c.k.Defer(func() { c.flush(addr, inv) })
 			} else {
-				flush(c.id, addr, done)
+				c.flush(addr, inv)
 			}
 			c.stats.Instructions++
 			budget--
@@ -715,37 +724,71 @@ func (c *Core) peekExhaustion() {
 // live-image write first, then the hierarchy access, the same order the
 // serial sweep produces. Under the parallel kernel it runs at journal
 // replay on the coordinator.
-func (c *Core) retireStore(addr, value uint64, persistent bool, tag uint64, unc bool, done func()) {
+func (c *Core) retireStore(addr, value uint64, persistent bool, tag uint64, unc bool) {
 	if c.onStoreRetire != nil {
 		c.onStoreRetire(addr, value)
 	}
-	c.hier.Access(c.id, addr, true, persistent, tag, unc, done)
+	c.hier.Access(c.id, addr, true, persistent, tag, unc, c.storeDoneFn)
+}
+
+func (c *Core) storeDone() { c.wake(); c.outStores--; c.finishCheck() }
+
+// flush posts a clwb (or, with inv, a clflush) of addr.
+func (c *Core) flush(addr uint64, inv bool) {
+	if inv {
+		c.hier.FlushInv(c.id, addr, c.flushDoneFn)
+	} else {
+		c.hier.Flush(c.id, addr, c.flushDoneFn)
+	}
+}
+
+func (c *Core) flushDone() { c.wake(); c.outFlushes--; c.finishCheck() }
+
+// commitDone is the mechanism's resume for the TX_END held in the
+// commit* fields.
+func (c *Core) commitDone() {
+	c.wake()
+	c.commitWait = false
+	c.stats.Transactions++
+	id, now, txStart, end := c.commitID, c.commitAt, c.commitTxStart, c.k.Now()
+	c.probe.Span(obs.KCommitWait, c.id, id, now, end, 0)
+	c.probe.Span(obs.KTx, c.id, id, txStart, end, 0)
+	c.hCommitWait.Observe(end - now)
+	c.hTxLat.Observe(end - txStart)
+	// Resume fires from a kernel event on the coordinator, so the
+	// flight commit records directly.
+	c.fr.Commit(c.id, id, now, end)
+	c.finishCheck()
 }
 
 func (c *Core) issueLoad(addr uint64, now uint64) {
 	c.stats.Loads++
-	persistent := memaddr.IsPersistent(addr)
 	c.outLoads++
-	done := func() {
-		c.wake()
-		c.outLoads--
-		if persistent {
-			lat := c.k.Now() - now
-			c.stats.PersistentLoads++
-			c.stats.PersistentLoadLatencySum += lat
-			idx := bits.Len64(lat)
-			if idx >= len(c.stats.PloadHist) {
-				idx = len(c.stats.PloadHist) - 1
-			}
-			c.stats.PloadHist[idx]++
-		}
-		c.finishCheck()
-	}
+	r := c.loads.Get()
+	r.issuedAt, r.persistent = now, memaddr.IsPersistent(addr)
 	if c.k.Deferring() {
-		c.k.Defer(func() { c.hier.Access(c.id, addr, false, persistent, 0, false, done) })
+		c.k.Defer(func() { c.hier.Access(c.id, addr, false, r.persistent, 0, false, r.doneFn) })
 	} else {
-		c.hier.Access(c.id, addr, false, persistent, 0, false, done)
+		c.hier.Access(c.id, addr, false, r.persistent, 0, false, r.doneFn)
 	}
+}
+
+func (r *loadReq) done() {
+	c, persistent, issuedAt := r.c, r.persistent, r.issuedAt
+	c.loads.Put(r)
+	c.wake()
+	c.outLoads--
+	if persistent {
+		lat := c.k.Now() - issuedAt
+		c.stats.PersistentLoads++
+		c.stats.PersistentLoadLatencySum += lat
+		idx := bits.Len64(lat)
+		if idx >= len(c.stats.PloadHist) {
+			idx = len(c.stats.PloadHist) - 1
+		}
+		c.stats.PloadHist[idx]++
+	}
+	c.finishCheck()
 }
 
 // PloadPercentile returns an upper bound on the given percentile of the

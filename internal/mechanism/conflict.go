@@ -2,7 +2,7 @@ package mechanism
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/txcache"
@@ -44,6 +44,8 @@ type guardCore struct {
 	// pending counts committed-but-not-yet-durable writes per line
 	// (TCache drain path); ownership releases when it reaches zero.
 	pending map[uint64]int
+	// sorted is sortedHeld's reusable result buffer.
+	sorted []uint64
 }
 
 type guardDecision int
@@ -125,15 +127,25 @@ func (g *conflictGuard) noteWrite(core int, addr uint64) {
 }
 
 // sortedHeld returns this core's held lines in address order, so arbiter
-// mutations never depend on map iteration order.
+// mutations never depend on map iteration order. The result is valid
+// until the next sortedHeld call for the core.
 func (g *conflictGuard) sortedHeld(core int) []uint64 {
 	gc := &g.cores[core]
-	lines := make([]uint64, 0, len(gc.held))
+	lines := gc.sorted[:0]
 	for l := range gc.held {
 		lines = append(lines, l)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
+	gc.sorted = lines
 	return lines
+}
+
+// releaseLines drops every ownership of core's in lines that nothing
+// keeps. Coordinator contexts only.
+func (g *conflictGuard) releaseLines(core int, lines []uint64) {
+	for _, l := range lines {
+		g.tryRelease(core, l)
+	}
 }
 
 // tryRelease drops ownership of line if nothing keeps it: no open-tx
@@ -155,16 +167,11 @@ func (g *conflictGuard) loseTx(core int) {
 		delete(gc.curLines, l)
 	}
 	lines := g.sortedHeld(core)
-	x := g.env.Ctxs[core]
-	fn := func() {
-		for _, l := range lines {
-			g.tryRelease(core, l)
-		}
-	}
-	if x.Deferring() {
-		x.Defer(fn)
+	if x := g.env.Ctxs[core]; x.Deferring() {
+		lines = slices.Clone(lines) // replays after later sortedHeld calls
+		x.Defer(func() { g.releaseLines(core, lines) })
 	} else {
-		fn()
+		g.releaseLines(core, lines)
 	}
 }
 
@@ -181,9 +188,7 @@ func (g *conflictGuard) commitPending(core int) {
 		gc.pending[l] += n
 		delete(gc.curLines, l)
 	}
-	for _, l := range g.sortedHeld(core) {
-		g.tryRelease(core, l)
-	}
+	g.releaseLines(core, g.sortedHeld(core))
 }
 
 // releaseTxNow drops the committed transaction's line bookkeeping and
@@ -199,9 +204,7 @@ func (g *conflictGuard) releaseTxNow(core int) {
 	for l := range gc.curLines {
 		delete(gc.curLines, l)
 	}
-	for _, l := range g.sortedHeld(core) {
-		g.tryRelease(core, l)
-	}
+	g.releaseLines(core, g.sortedHeld(core))
 }
 
 // onAck observes one TC drain acknowledgment (TCache release path):

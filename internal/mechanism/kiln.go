@@ -7,6 +7,7 @@ import (
 	"pmemaccel/internal/cpu"
 	"pmemaccel/internal/memaddr"
 	"pmemaccel/internal/memimage"
+	"pmemaccel/internal/sim"
 	"pmemaccel/internal/trace"
 )
 
@@ -38,6 +39,43 @@ type kiln struct {
 	// ForcedWritebacks counts committed line versions written back
 	// early because an uncommitted update was about to overwrite them.
 	ForcedWritebacks uint64
+
+	// writes pools the durable-image updates of LLC write-backs.
+	// resume and commitDone serve each core's one outstanding commit:
+	// commitDone[core] is bound once and calls resume[core].
+	writes     sim.Pool[kilnWrite]
+	resume     []func()
+	commitDone []func()
+}
+
+// kilnWrite applies a snapshot of an LLC line's nonvolatile content to
+// the durable image when its write-back becomes durable (see sim.Pool
+// for the ownership rule). gen is nonzero for a forced write-back of a
+// retained committed version, which the write releases.
+type kilnWrite struct {
+	m    *kiln
+	addr uint64
+	vals [8]uint64
+	gen  uint64
+	fn   func()
+}
+
+func (w *kilnWrite) run() {
+	m, addr, vals, gen := w.m, w.addr, w.vals, w.gen
+	m.writes.Put(w)
+	m.env.Durable.WriteLine(addr, vals)
+	if gen != 0 {
+		if r, ok := m.retained[addr]; ok && r.gen == gen {
+			delete(m.retained, addr)
+		}
+	}
+}
+
+// write returns the apply callback of a write-back carrying vals.
+func (m *kiln) write(addr uint64, vals [8]uint64, gen uint64) func() {
+	w := m.writes.Get()
+	w.addr, w.vals, w.gen = addr, vals, gen
+	return w.fn
 }
 
 type retainedVersion struct {
@@ -59,12 +97,23 @@ var DebugLine uint64
 const kilnShadowBit = uint64(1) << 62
 
 func newKiln(env *Env) Mechanism {
-	return &kiln{
+	m := &kiln{
 		env: env, nvllc: memimage.New(),
-		g:         newConflictGuard(env),
-		committed: make([]uint64, env.Cores),
-		retained:  make(map[uint64]retainedVersion),
+		g:          newConflictGuard(env),
+		committed:  make([]uint64, env.Cores),
+		retained:   make(map[uint64]retainedVersion),
+		resume:     make([]func(), env.Cores),
+		commitDone: make([]func(), env.Cores),
 	}
+	m.writes.New = func() *kilnWrite {
+		w := &kilnWrite{m: m}
+		w.fn = w.run
+		return w
+	}
+	for core := range m.commitDone {
+		m.commitDone[core] = func() { m.flushed(core) }
+	}
+	return m
 }
 
 func (m *kiln) Kind() Kind { return Kiln }
@@ -88,12 +137,7 @@ func (m *kiln) Hooks() cache.Hooks {
 				vals := m.nvllc.ReadLine(addr)
 				gen := m.ForcedWritebacks
 				m.retained[addr] = retainedVersion{vals: vals, gen: gen}
-				m.env.Mem.Write(addr, func() {
-					m.env.Durable.WriteLine(addr, vals)
-					if r, ok := m.retained[addr]; ok && r.gen == gen {
-						delete(m.retained, addr)
-					}
-				}, nil)
+				m.env.Mem.Write(addr, m.write(addr, vals, gen), nil)
 				// Kiln is multi-versioned: the old committed copy
 				// occupies a second LLC way until the overwriting
 				// transaction commits. Versions are short-lived
@@ -124,7 +168,7 @@ func (m *kiln) Hooks() cache.Hooks {
 				fmt.Printf("[%d] kiln evict-writeback line %#x nvllc[0]=%d\n",
 					m.env.K.Now(), lineAddr, vals[0])
 			}
-			return func() { m.env.Durable.WriteLine(lineAddr, vals) }
+			return m.write(lineAddr, vals, 0)
 		},
 	}
 }
@@ -162,16 +206,8 @@ func (m *kiln) Store(core int, txID uint64, addr, value uint64) cpu.StoreAction 
 // flush completes and the lines unpin.
 func (m *kiln) TxEnd(core int, txID uint64, resume func()) bool {
 	tag := m.tag(core, txID)
-	done := func() {
-		// Flush completion is Kiln's durability instant: the
-		// transaction's lines are in the nonvolatile LLC. Record the
-		// global commit order and release shared-line ownership here —
-		// done runs in a coordinator context (flush completion event).
-		m.committed[core]++
-		m.env.noteDurableCommit(core)
-		m.g.releaseTxNow(core)
-		resume()
-	}
+	m.resume[core] = resume
+	done := m.commitDone[core]
 	// TxEnd runs on the core's worker under the parallel kernel; the
 	// flush walks the shared hierarchy, so it is journaled through the
 	// core's context and replays in registration order.
@@ -181,6 +217,20 @@ func (m *kiln) TxEnd(core int, txID uint64, resume func()) bool {
 		m.hier.FlushTx(core, tag, done)
 	}
 	return true
+}
+
+// flushed completes core's commit once its flush has landed. Flush
+// completion is Kiln's durability instant: the transaction's lines are
+// in the nonvolatile LLC. It records the global commit order and
+// releases shared-line ownership; it runs in a coordinator context (the
+// flush completion event).
+func (m *kiln) flushed(core int) {
+	resume := m.resume[core]
+	m.resume[core] = nil
+	m.committed[core]++
+	m.env.noteDurableCommit(core)
+	m.g.releaseTxNow(core)
+	resume()
 }
 
 func (m *kiln) Drained() bool { return true }

@@ -165,6 +165,9 @@ type Env struct {
 	// system folds committed write sets in this order to build the
 	// expected durable image (the serialization oracle).
 	Commits *CommitLog
+
+	// liveCopies pools copyLiveApply's records; New sets it up.
+	liveCopies sim.Pool[liveCopy]
 }
 
 // CommitLog records the global order in which transactions became
@@ -247,6 +250,11 @@ func New(kind Kind, env *Env) Mechanism {
 			env.Ctxs[i] = env.K.NewCtx()
 		}
 	}
+	env.liveCopies.New = func() *liveCopy {
+		c := &liveCopy{env: env}
+		c.fn = c.run
+		return c
+	}
 	switch kind {
 	case Optimal:
 		return newOptimal(env)
@@ -261,11 +269,27 @@ func New(kind Kind, env *Env) Mechanism {
 	}
 }
 
-// copyLiveApply returns an apply closure copying the live image's line
+// copyLiveApply returns an apply callback copying the live image's line
 // into the durable image for persistent lines, nil for volatile ones.
 func copyLiveApply(env *Env, lineAddr uint64) func() {
 	if !memaddr.IsPersistent(lineAddr) {
 		return nil
 	}
-	return func() { env.Durable.CopyLine(env.Live, lineAddr) }
+	c := env.liveCopies.Get()
+	c.addr = lineAddr
+	return c.fn
+}
+
+// liveCopy is copyLiveApply's pooled apply record (see sim.Pool for the
+// ownership rule).
+type liveCopy struct {
+	env  *Env
+	addr uint64
+	fn   func()
+}
+
+func (c *liveCopy) run() {
+	env, addr := c.env, c.addr
+	env.liveCopies.Put(c)
+	env.Durable.CopyLine(env.Live, addr)
 }

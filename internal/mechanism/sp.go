@@ -89,21 +89,28 @@ type spReader struct {
 	core int
 	src  trace.Reader
 
+	// queue[head:] are the expanded records not yet returned. Once they
+	// are all returned the queue rewinds, so its backing array is reused
+	// by every refill.
 	queue    []trace.Record
+	head     int
 	deferred []trace.Record
 	inTx     bool
 }
 
 func (r *spReader) Next() (trace.Record, bool) {
-	for len(r.queue) == 0 {
-		rec, ok := r.src.Next()
-		if !ok {
-			return trace.Record{}, false
+	if r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+		for len(r.queue) == 0 {
+			rec, ok := r.src.Next()
+			if !ok {
+				return trace.Record{}, false
+			}
+			r.expand(rec)
 		}
-		r.expand(rec)
 	}
-	rec := r.queue[0]
-	r.queue = r.queue[1:]
+	rec := r.queue[r.head]
+	r.head++
 	return rec, true
 }
 

@@ -37,6 +37,7 @@ type tcMech struct {
 	fbPending     [][]trace.Write // this transaction's shadow writes
 	fbOutstanding []int           // shadow writes not yet durable
 	fbCommit      []func()        // deferred commit waiting for drain
+	fbPoll        []func()        // per-core pollFallbackCommit step, bound once
 	shadow        []memaddr.Range
 	shadowCursor  []uint64
 
@@ -60,6 +61,7 @@ func newTCache(env *Env) Mechanism {
 		fbPending:     make([][]trace.Write, env.Cores),
 		fbOutstanding: make([]int, env.Cores),
 		fbCommit:      make([]func(), env.Cores),
+		fbPoll:        make([]func(), env.Cores),
 		shadow:        make([]memaddr.Range, env.Cores),
 		shadowCursor:  make([]uint64, env.Cores),
 		fallbackTxs:   make([]uint64, env.Cores),
@@ -69,6 +71,10 @@ func newTCache(env *Env) Mechanism {
 	for c := range m.shadowCursor {
 		m.shadow[c] = memaddr.PerCoreLog(c)
 		m.shadowCursor[c] = m.shadow[c].Base
+		m.fbPoll[c] = func() {
+			m.checkFallbackCommit(c)
+			m.pollFallbackCommit(c)
+		}
 	}
 	durableApply := func(addr, value uint64) { env.Durable.WriteWord(addr, value) }
 	for c := 0; c < env.Cores; c++ {
@@ -285,17 +291,20 @@ func (m *tcMech) TxEnd(core int, txID uint64, resume func()) bool {
 		// pending transfer are coordinator-side, so route through the
 		// guarded defer. Acks cannot beat the deferred transfer: the
 		// earliest drain completion is a memory event in a later cycle.
-		fn := func() {
-			m.env.noteDurableCommit(core)
-			m.g.commitPending(core)
-		}
 		if x := m.env.Ctxs[core]; x.Deferring() {
-			x.Defer(fn)
+			x.Defer(func() { m.commitDurable(core) })
 		} else {
-			fn()
+			m.commitDurable(core)
 		}
 	}
 	return false
+}
+
+// commitDurable records a TC commit's durable instant and hands the
+// transaction's shared lines to the drain-pending set.
+func (m *tcMech) commitDurable(core int) {
+	m.env.noteDurableCommit(core)
+	m.g.commitPending(core)
 }
 
 // checkFallbackCommit fires the deferred commit once the shadow writes
@@ -315,10 +324,7 @@ func (m *tcMech) pollFallbackCommit(core int) {
 	if m.fbCommit[core] == nil {
 		return
 	}
-	m.env.Ctxs[core].Schedule(1, func() {
-		m.checkFallbackCommit(core)
-		m.pollFallbackCommit(core)
-	})
+	m.env.Ctxs[core].Schedule(1, m.fbPoll[core])
 }
 
 func (m *tcMech) Drained() bool {

@@ -165,6 +165,8 @@ type Controller struct {
 	hDrainCycles *metrics.Histogram
 	hDrainWrites *metrics.Histogram
 
+	completions sim.Pool[completion]
+
 	stats Stats
 	wear  *Wear
 }
@@ -173,6 +175,11 @@ type Controller struct {
 func New(k *sim.Kernel, cfg Config) *Controller {
 	cfg = cfg.WithDefaults()
 	c := &Controller{k: k, cfg: cfg, banks: make([]bank, cfg.Banks), wear: newWear()}
+	c.completions.New = func() *completion {
+		cp := &completion{c: c}
+		cp.fn = cp.run
+		return cp
+	}
 	k.Register(c)
 	return c
 }
@@ -347,23 +354,39 @@ func (c *Controller) issue(q *[]request, idx int, isWrite bool, now uint64) {
 	if r.trk != nil {
 		r.trk.ServiceStart(r.trkChan, now)
 	}
-	req := r
-	c.k.Schedule(lat, func() {
-		c.inFlight--
-		if !isWrite {
-			l := c.k.Now() - req.enqueue
-			c.stats.ReadLatencySum += l
-			if l > c.stats.ReadLatencyMax {
-				c.stats.ReadLatencyMax = l
-			}
+	cp := c.completions.Get()
+	cp.enqueue, cp.apply, cp.done, cp.isWrite = r.enqueue, r.apply, r.done, isWrite
+	c.k.Schedule(lat, cp.fn)
+}
+
+// completion is an issued command's completion event (see sim.Pool for
+// the ownership rule).
+type completion struct {
+	c           *Controller
+	enqueue     uint64
+	apply, done func()
+	isWrite     bool
+	fn          func()
+}
+
+func (cp *completion) run() {
+	c, enqueue, apply, done, isWrite := cp.c, cp.enqueue, cp.apply, cp.done, cp.isWrite
+	cp.apply, cp.done = nil, nil
+	c.completions.Put(cp)
+	c.inFlight--
+	if !isWrite {
+		l := c.k.Now() - enqueue
+		c.stats.ReadLatencySum += l
+		if l > c.stats.ReadLatencyMax {
+			c.stats.ReadLatencyMax = l
 		}
-		if req.apply != nil {
-			req.apply()
-		}
-		if req.done != nil {
-			req.done()
-		}
-	})
+	}
+	if apply != nil {
+		apply()
+	}
+	if done != nil {
+		done()
+	}
 }
 
 // Tick implements sim.Tickable: issue up to CmdPerCycle commands under the

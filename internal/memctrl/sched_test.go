@@ -280,3 +280,37 @@ func BenchmarkControllerTick(b *testing.B) {
 		c.Idle()
 	}
 }
+
+// TestIssueAllocatesNothing pins the pooled completion records: once
+// warm, a read and a write each issued and run to completion allocate
+// nothing (the lines' wear entries already exist).
+func TestIssueAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := New(k, testConfig())
+	completed := false
+	done := func() { completed = true }
+	wait := func() {
+		for !completed {
+			k.Step()
+		}
+		completed = false
+	}
+	n := uint64(0)
+	run := func() {
+		n++
+		addr := memaddr.NVMBase + n%16*64
+		c.Read(addr, done)
+		wait()
+		c.Write(addr, nil, done)
+		wait()
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("issue to completion: %.2f allocations per read+write, want 0", allocs)
+	}
+	if st := c.Stats(); st.Reads == 0 || st.Writes == 0 {
+		t.Fatalf("no commands issued: %+v", st)
+	}
+}

@@ -62,6 +62,38 @@ func BenchmarkImageReadWordRandom(b *testing.B) {
 	benchSink = s
 }
 
+// BenchmarkImageReadWordRandomWide: one word load per op at a random
+// written word of a 32 MiB image: every eighth page of 128 directories
+// spread over four per-core carvings. Lookups miss the last-page cache
+// and search all 128 directories (the random node reads of a
+// large-footprint run, made sparser than any workload's).
+func BenchmarkImageReadWordRandomWide(b *testing.B) {
+	const dirs, stride = 128, 8
+	m := New()
+	var written []uint64
+	for d := uint64(0); d < dirs; d++ {
+		base := memaddr.PerCoreNVM(int(d%4)).Base + d/4*(1<<21)
+		for pg := uint64(0); pg < 512; pg += stride {
+			for w := uint64(0); w < 512; w += 64 {
+				a := base + pg<<12 + w*memaddr.WordSize
+				m.WriteWord(a, a)
+				written = append(written, a)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, benchWords)
+	for i := range addrs {
+		addrs[i] = written[rng.Intn(len(written))]
+	}
+	b.ResetTimer()
+	var s uint64
+	for i := 0; i < b.N; i++ {
+		s += m.ReadWord(addrs[i%benchWords])
+	}
+	benchSink = s
+}
+
 // BenchmarkImageSnapshot: one deep copy of a benchWords image per op.
 func BenchmarkImageSnapshot(b *testing.B) {
 	m := filledImage()

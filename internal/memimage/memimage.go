@@ -6,18 +6,23 @@
 // nonvolatile LLC is what makes crash/recovery testing functional rather
 // than purely statistical.
 //
-// An Image stores words in 4 KiB pages (512 words each) keyed by page
-// number. The workloads bump-allocate from fixed per-core address
-// carvings (memaddr.PerCore*), so the words a run writes are dense and a
-// page table holds them with little slack. Each page carries a written
-// mask, one bit per word, that records which words were ever stored —
-// zero-valued stores included — so Len and ForEach report exactly the
-// written set while unwritten words still read zero. ForEach visits that
-// set in ascending address order, which makes every walk over an image
-// deterministic.
+// An Image stores words in 4 KiB pages (512 words each), grouped into
+// 2 MiB directories of 512 page pointers. The directories sit in a slice
+// kept in ascending address order, so every walk over an image (ForEach,
+// Snapshot, the diffs) visits pages in address order without sorting, and
+// a directory is found by binary search. A one-entry last-page cache
+// sits in front of that search, so a typical access costs a compare and
+// no hashing. The workloads bump-allocate from fixed per-core address
+// carvings (memaddr.PerCore*), so the words a run writes are dense and an
+// image holds few directories (at most a few dozen), which keeps the
+// search short.
+// Each page carries a written mask, one bit per word, that records which
+// words were ever stored — zero-valued stores included — so Len and
+// ForEach report exactly the written set while unwritten words still
+// read zero.
 //
 // An Image is not safe for concurrent use, not even by readers alone:
-// ReadWord updates a one-entry last-page cache in front of the page table.
+// ReadWord updates the last-page cache.
 package memimage
 
 import (
@@ -32,6 +37,9 @@ const (
 	wordsPerPage = (1 << pageShift) / memaddr.WordSize
 	maskWords    = wordsPerPage / 64
 	lineMask     = uint64(1)<<memaddr.WordsPerLine - 1
+
+	dirShift    = 21 // 2 MiB directories
+	pagesPerDir = 1 << (dirShift - pageShift)
 )
 
 // page holds one page's words and its written mask (bit i of
@@ -45,52 +53,103 @@ type page struct {
 // It is never written.
 var zeroPage page
 
+// dir is one 2 MiB directory: the pages of addresses num<<dirShift up to
+// the next directory, nil where no word was written.
+type dir struct {
+	num   uint64
+	pages [pagesPerDir]*page
+}
+
 // Image is a sparse, word-granular memory content image. Unwritten words
 // read as zero, matching hardware that zeroes (or never exposes) fresh
-// pages. The zero value is NOT usable; call New.
+// pages. The zero value is an empty image.
 type Image struct {
-	pages map[uint64]*page // keyed by addr >> pageShift
-	n     int              // words ever written: popcount of all masks
-	// One-entry cache of the last page looked up; last is nil until a
-	// lookup finds a page.
+	// dirs holds the directories in ascending order; nums[i] is
+	// dirs[i].num, kept contiguous so the search stays in cache.
+	dirs []*dir
+	nums []uint64
+	n    int // words ever written: popcount of all masks
+	// last is the page of the last lookup that found one, lastKey its
+	// page number.
 	lastKey uint64
 	last    *page
 }
 
 // New returns an empty image.
-func New() *Image {
-	return &Image{pages: make(map[uint64]*page)}
+func New() *Image { return &Image{} }
+
+// search returns the index of directory num in m.dirs, or where it would
+// be inserted, and whether it is present.
+func (m *Image) search(num uint64) (int, bool) {
+	// A branch-free lower-bound search: the loop's one comparison
+	// compiles to a conditional move, so a lookup past the last-page
+	// cache costs no mispredicted branches.
+	nums := m.nums
+	lo, n := 0, len(nums)
+	if n == 0 {
+		return 0, false
+	}
+	for n > 1 {
+		half := n / 2
+		if nums[lo+half] < num {
+			lo += half
+		}
+		n -= half
+	}
+	if nums[lo] < num {
+		lo++
+	}
+	return lo, lo < len(nums) && nums[lo] == num
 }
 
-// NewSized returns an empty image pre-sized for about n words, avoiding
-// rehash churn when the caller knows the fill size up front (seeding the
-// live/durable images from generated base images, building the expected
-// recovery image).
-func NewSized(n int) *Image {
-	return &Image{pages: make(map[uint64]*page, n/wordsPerPage+1)}
+// dir returns directory num, or nil when none was written.
+func (m *Image) dir(num uint64) *dir {
+	i, ok := m.search(num)
+	if !ok {
+		return nil
+	}
+	return m.dirs[i]
 }
 
 // lookup returns the page holding addr, or nil when none was written.
+// The last-page check is kept small enough to inline.
 func (m *Image) lookup(addr uint64) *page {
-	k := addr >> pageShift
-	if m.last != nil && k == m.lastKey {
+	if m.last != nil && addr>>pageShift == m.lastKey {
 		return m.last
 	}
-	p := m.pages[k]
+	return m.lookupDir(addr)
+}
+
+// lookupDir is lookup past the last-page cache.
+func (m *Image) lookupDir(addr uint64) *page {
+	k := addr >> pageShift
+	d := m.dir(addr >> dirShift)
+	if d == nil {
+		return nil
+	}
+	p := d.pages[k%pagesPerDir]
 	if p != nil {
 		m.lastKey, m.last = k, p
 	}
 	return p
 }
 
-// pageFor returns the page holding addr, allocating it if needed.
+// pageFor returns the page holding addr, allocating it (and its
+// directory) if needed.
 func (m *Image) pageFor(addr uint64) *page {
 	if p := m.lookup(addr); p != nil {
 		return p
 	}
+	num := addr >> dirShift
+	i, ok := m.search(num)
+	if !ok {
+		m.dirs = slices.Insert(m.dirs, i, &dir{num: num})
+		m.nums = slices.Insert(m.nums, i, num)
+	}
+	d := m.dirs[i]
 	p := new(page)
 	k := addr >> pageShift
-	m.pages[k] = p
+	d.pages[k%pagesPerDir] = p
 	m.lastKey, m.last = k, p
 	return p
 }
@@ -165,15 +224,31 @@ func (m *Image) CopyLine(src *Image, addr uint64) {
 func (m *Image) Len() int { return m.n }
 
 // Snapshot returns an independent deep copy, used to capture the durable
-// state at a crash point. The copied pages share one allocation.
+// state at a crash point. The copied directories share one allocation,
+// and so do the copied pages.
 func (m *Image) Snapshot() *Image {
-	c := &Image{pages: make(map[uint64]*page, len(m.pages)), n: m.n}
-	slab := make([]page, len(m.pages))
-	i := 0
-	for k, p := range m.pages {
-		slab[i] = *p
-		c.pages[k] = &slab[i]
-		i++
+	np := 0
+	for _, d := range m.dirs {
+		for _, p := range &d.pages {
+			if p != nil {
+				np++
+			}
+		}
+	}
+	c := &Image{dirs: make([]*dir, len(m.dirs)), nums: slices.Clone(m.nums), n: m.n}
+	dslab := make([]dir, len(m.dirs))
+	slab := make([]page, np)
+	for i, d := range m.dirs {
+		cd := &dslab[i]
+		cd.num = d.num
+		for j, p := range &d.pages {
+			if p != nil {
+				slab[0] = *p
+				cd.pages[j] = &slab[0]
+				slab = slab[1:]
+			}
+		}
+		c.dirs[i] = cd
 	}
 	return c
 }
@@ -213,60 +288,79 @@ func (m *Image) Diffs(o *Image, max int) []Diff {
 }
 
 // eachDiff calls fn for every word whose value differs between m and o,
-// in ascending address order, until fn returns false. Unwritten words
-// are zero in a page's word array, so comparing values alone treats a
-// written zero as equal to an absent word.
+// in ascending address order, until fn returns false. It merges the two
+// ascending directory lists. Unwritten words are zero in a page's word
+// array, so comparing values alone treats a written zero as equal to an
+// absent word.
 func (m *Image) eachDiff(o *Image, fn func(addr, a, b uint64) bool) {
-	for _, k := range sortedPages(m, o) {
-		pm, po := m.pages[k], o.pages[k]
-		if pm == nil {
-			pm = &zeroPage
+	i, j := 0, 0
+	for i < len(m.dirs) || j < len(o.dirs) {
+		var dm, do *dir
+		switch {
+		case j == len(o.dirs) || i < len(m.dirs) && m.dirs[i].num < o.dirs[j].num:
+			dm = m.dirs[i]
+			i++
+		case i == len(m.dirs) || o.dirs[j].num < m.dirs[i].num:
+			do = o.dirs[j]
+			j++
+		default:
+			dm, do = m.dirs[i], o.dirs[j]
+			i++
+			j++
 		}
-		if po == nil {
-			po = &zeroPage
+		if !diffDir(dm, do, fn) {
+			return
 		}
-		if pm.words == po.words {
+	}
+}
+
+// diffDir is eachDiff over one directory number, present in dm, do or
+// both (a nil side reads zero). It reports whether to continue.
+func diffDir(dm, do *dir, fn func(addr, a, b uint64) bool) bool {
+	var num uint64
+	if dm != nil {
+		num = dm.num
+	} else {
+		num = do.num
+	}
+	for s := range pagesPerDir {
+		pm, po := &zeroPage, &zeroPage
+		if dm != nil && dm.pages[s] != nil {
+			pm = dm.pages[s]
+		}
+		if do != nil && do.pages[s] != nil {
+			po = do.pages[s]
+		}
+		if pm == po || pm.words == po.words {
 			continue
 		}
-		base := k << pageShift
+		base := num<<dirShift | uint64(s)<<pageShift
 		for i, a := range &pm.words {
 			if b := po.words[i]; a != b {
 				if !fn(base+uint64(i)*memaddr.WordSize, a, b) {
-					return
+					return false
 				}
 			}
 		}
 	}
+	return true
 }
 
 // ForEach visits every written word in ascending address order.
 func (m *Image) ForEach(fn func(addr, value uint64)) {
-	for _, k := range sortedPages(m) {
-		p := m.pages[k]
-		base := k << pageShift
-		for j, w := range p.written {
-			for w != 0 {
-				i := j*64 + bits.TrailingZeros64(w)
-				w &= w - 1
-				fn(base+uint64(i)*memaddr.WordSize, p.words[i])
+	for _, d := range m.dirs {
+		for s, p := range &d.pages {
+			if p == nil {
+				continue
+			}
+			base := d.num<<dirShift | uint64(s)<<pageShift
+			for j, w := range p.written {
+				for w != 0 {
+					i := j*64 + bits.TrailingZeros64(w)
+					w &= w - 1
+					fn(base+uint64(i)*memaddr.WordSize, p.words[i])
+				}
 			}
 		}
 	}
-}
-
-// sortedPages returns the page numbers present in any of imgs, ascending
-// and without duplicates.
-func sortedPages(imgs ...*Image) []uint64 {
-	n := 0
-	for _, m := range imgs {
-		n += len(m.pages)
-	}
-	keys := make([]uint64, 0, n)
-	for _, m := range imgs {
-		for k := range m.pages {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	return slices.Compact(keys)
 }

@@ -203,10 +203,17 @@ type modelImage struct {
 	model map[uint64]uint64
 }
 
+// edgeAddrs returns the words and lines on both sides of the boundary
+// at edge: the last word and line below it, its first word and the next.
+func edgeAddrs(edge uint64) []uint64 {
+	return []uint64{edge - memaddr.WordSize, edge, edge - memaddr.LineSize, edge + memaddr.WordSize}
+}
+
 // modelAddrs is the address pool of the reference-model test: words
-// around page boundaries (the last word of a page next to the first of
-// the following one) and scattered lines in every carving — per-core
-// DRAM, per-core NVM, the shared NVM region and the per-core log.
+// around page boundaries and 2 MiB directory boundaries (the last word
+// of a page or directory next to the first of the following one) and
+// scattered lines in every carving — per-core DRAM, per-core NVM, the
+// shared NVM region and the per-core log.
 func modelAddrs(rng *rand.Rand) []uint64 {
 	bases := []uint64{memaddr.SharedNVMBase}
 	for _, c := range []int{0, 1, memaddr.MaxCores - 1} {
@@ -215,8 +222,8 @@ func modelAddrs(rng *rand.Rand) []uint64 {
 	var addrs []uint64
 	for _, b := range bases {
 		for pg := uint64(1); pg <= 3; pg++ {
-			edge := b + pg*(1<<pageShift)
-			addrs = append(addrs, edge-memaddr.WordSize, edge, edge-memaddr.LineSize, edge+memaddr.WordSize)
+			addrs = append(addrs, edgeAddrs(b+pg*(1<<pageShift))...)
+			addrs = append(addrs, edgeAddrs(b+pg*(1<<dirShift))...)
 		}
 		for i := 0; i < 4; i++ {
 			addrs = append(addrs, b+uint64(rng.Intn(1<<16))*memaddr.WordSize)
@@ -225,14 +232,34 @@ func modelAddrs(rng *rand.Rand) []uint64 {
 	return addrs
 }
 
+// manyDirAddrs is an address pool spread over 192 directories, several
+// times as many as any workload's image holds, one carving after
+// another, so the binary search runs deep and directories are inserted
+// out of address order.
+func manyDirAddrs(rng *rand.Rand) []uint64 {
+	var addrs []uint64
+	for d := 0; d < 192; d++ {
+		b := memaddr.PerCoreNVM(d%4).Base + uint64(d/4)*(1<<dirShift)
+		addrs = append(addrs, b+uint64(rng.Intn(1<<dirShift/memaddr.WordSize))*memaddr.WordSize)
+	}
+	rng.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+	return addrs
+}
+
 // Property: random sequences of WriteWord/WriteLine/CopyLine/Snapshot
 // agree with a map model on ReadWord, Written, Len (zero-valued writes
 // counted once), the exact written set and ascending order of ForEach,
 // and DiffLimit/Diffs/Equal between every pair of images.
-func TestReferenceModel(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
+func TestReferenceModel(t *testing.T) { runReferenceModel(t, modelAddrs, 25, 300) }
+
+// TestReferenceModelManyDirs is TestReferenceModel over a working set of
+// many directories.
+func TestReferenceModelManyDirs(t *testing.T) { runReferenceModel(t, manyDirAddrs, 4, 400) }
+
+func runReferenceModel(t *testing.T, pool func(*rand.Rand) []uint64, seeds int64, ops int) {
+	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		addrs := modelAddrs(rng)
+		addrs := pool(rng)
 		imgs := []*modelImage{{New(), map[uint64]uint64{}}}
 		value := func() uint64 {
 			if rng.Intn(4) == 0 {
@@ -240,7 +267,7 @@ func TestReferenceModel(t *testing.T) {
 			}
 			return rng.Uint64()
 		}
-		for op := 0; op < 300; op++ {
+		for op := 0; op < ops; op++ {
 			m := imgs[rng.Intn(len(imgs))]
 			addr := addrs[rng.Intn(len(addrs))] + uint64(rng.Intn(memaddr.WordSize)) // may be misaligned
 			switch r := rng.Intn(20); {

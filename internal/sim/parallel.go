@@ -330,10 +330,13 @@ func (p *parallel) startWorkers() {
 	if p.tasks != nil {
 		return
 	}
-	p.tasks = make(chan func(), 64)
+	// Workers range over their own copy of the channel: StopWorkers
+	// clears p.tasks while they may still be starting.
+	tasks := make(chan func(), 64)
+	p.tasks = tasks
 	for w := 0; w < p.workers; w++ {
 		go func() {
-			for fn := range p.tasks {
+			for fn := range tasks {
 				fn()
 			}
 		}()

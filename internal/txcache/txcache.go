@@ -222,6 +222,8 @@ type TxCache struct {
 	// entry points that change what Tick would do — call it first.
 	wake func()
 
+	drains sim.Pool[drain]
+
 	stats Stats
 }
 
@@ -239,6 +241,11 @@ func New(k *sim.Ctx, cfg Config, mem Port, durableApply func(addr, value uint64)
 	tc := &TxCache{
 		k: k, cfg: cfg, mem: mem, durableApply: durableApply,
 		entries: make([]Entry, cfg.Entries()),
+	}
+	tc.drains.New = func() *drain {
+		d := &drain{tc: tc}
+		d.applyFn, d.ackFn = d.durable, d.ack
+		return d
 	}
 	k.Register(tc)
 	return tc
@@ -516,10 +523,10 @@ func (tc *TxCache) issueOne() bool {
 		tc.burstIssued = 0
 	}
 	tc.burstIssued++
-	addr, value := e.Addr, e.Value
-	var apply func()
+	d := tc.drains.Get()
+	d.addr, d.value, d.w, d.apply = e.Addr, e.Value, nil, nil
 	if tc.durableApply != nil {
-		apply = func() { tc.durableApply(addr, value) }
+		d.apply = d.applyFn
 	}
 	if tc.fr != nil && tc.fr.Sampled(e.TxID) {
 		// Sampled transaction: route through the tracked port so the
@@ -527,14 +534,14 @@ func (tc *TxCache) issueOne() bool {
 		// channel) and durable completion for this write.
 		txID, issueAt := e.TxID, tc.k.Now()
 		if tc.k.Deferring() {
-			tc.k.Defer(func() { tc.issueTracked(addr, apply, txID, issueAt) })
+			tc.k.Defer(func() { tc.issueTracked(d, txID, issueAt) })
 		} else {
-			tc.issueTracked(addr, apply, txID, issueAt)
+			tc.issueTracked(d, txID, issueAt)
 		}
 	} else if tc.k.Deferring() {
-		tc.k.Defer(func() { tc.mem.Write(memaddr.LineAddr(addr), apply, func() { tc.Ack(addr) }) })
+		tc.k.Defer(func() { tc.mem.Write(memaddr.LineAddr(d.addr), d.apply, d.ackFn) })
 	} else {
-		tc.mem.Write(memaddr.LineAddr(addr), apply, func() { tc.Ack(addr) })
+		tc.mem.Write(memaddr.LineAddr(d.addr), d.apply, d.ackFn)
 	}
 	tc.issue = tc.next(tc.issue)
 	return true
@@ -543,13 +550,33 @@ func (tc *TxCache) issueOne() bool {
 // issueTracked is issueOne's drain write for a sampled transaction: it
 // opens the flight-recorder write and routes through the tracked port so
 // the recorder sees TC issue, WPQ service start and durable completion.
-// Kept out of line so the serial hot path builds no extra closures.
-func (tc *TxCache) issueTracked(addr uint64, apply func(), txID, issueAt uint64) {
-	w := tc.fr.TCIssue(tc.coreID, txID, issueAt)
-	tc.frPort.WriteTracked(memaddr.LineAddr(addr), apply, func() {
-		tc.Ack(addr)
+func (tc *TxCache) issueTracked(d *drain, txID, issueAt uint64) {
+	d.w = tc.fr.TCIssue(tc.coreID, txID, issueAt)
+	tc.frPort.WriteTracked(memaddr.LineAddr(d.addr), d.apply, d.ackFn, d.w)
+}
+
+// drain is one issued entry's write toward NVM (see sim.Pool for the
+// ownership rule): apply stores the word in the durable image, then the
+// acknowledgment frees the entry and returns the record. w is the
+// flight-recorder write of a sampled transaction, else nil.
+type drain struct {
+	tc             *TxCache
+	addr, value    uint64
+	w              *txflight.Write
+	apply          func() // applyFn, or nil without a durable image
+	applyFn, ackFn func()
+}
+
+func (d *drain) durable() { d.tc.durableApply(d.addr, d.value) }
+
+func (d *drain) ack() {
+	tc, addr, w := d.tc, d.addr, d.w
+	d.w = nil
+	tc.drains.Put(d)
+	tc.Ack(addr)
+	if w != nil {
 		tc.fr.WriteDurable(w, tc.k.Now())
-	}, w)
+	}
 }
 
 // Ack handles the NVM controller's acknowledgment for a written-back

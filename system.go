@@ -138,14 +138,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	// Memory images: the post-warmup state is architecturally live and
-	// (for persistent words) already durable. Pre-size for the combined
-	// base images; both grow from there as the run writes fresh words.
-	var baseWords int
-	for _, out := range s.Outputs {
-		baseWords += out.BaseImage.Len()
-	}
-	s.Live = memimage.NewSized(baseWords)
-	s.Durable = memimage.NewSized(baseWords)
+	// (for persistent words) already durable.
+	s.Live = memimage.New()
+	s.Durable = memimage.New()
 	for _, out := range s.Outputs {
 		out.BaseImage.ForEach(func(addr, v uint64) {
 			s.Live.WriteWord(addr, v)
@@ -345,7 +340,7 @@ func (s *System) RecoveredDurable() *memimage.Image {
 // the per-core durably-committed transaction counts at this instant:
 // the warmed-up base plus each core's committed prefix of write sets.
 func (s *System) ExpectedDurable() *memimage.Image {
-	img := memimage.NewSized(s.Durable.Len())
+	img := memimage.New()
 	s.Durable.ForEach(func(addr, v uint64) {
 		// Base persistent words only: mechanism-specific regions
 		// (logs) are excluded from the expectation domain.
